@@ -198,9 +198,9 @@ func BenchmarkBaselineRelocation(b *testing.B) {
 
 // BenchmarkSimulatorThroughput measures raw simulator speed: simulated
 // seconds per wall-clock second on the paper's largest configuration.
-// allocs/op is the tracked number — the event pool, the medium's scratch
-// buffer, and interned counters all exist to keep it flat as the
-// simulated horizon grows.
+// allocs/op is the tracked number — the event pool, the medium's
+// delivery buffers and static neighbor sets, and interned counters all
+// exist to keep it flat as the simulated horizon grows.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	const simTime = 1000
 	b.ReportAllocs()

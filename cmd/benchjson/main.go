@@ -26,9 +26,11 @@ import (
 	"strings"
 )
 
-// Benchmark is one parsed result line.
+// Benchmark is one parsed result line, stamped with the package of the
+// `pkg:` header that precedes it.
 type Benchmark struct {
 	Name       string             `json:"name"`
+	Pkg        string             `json:"pkg,omitempty"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
 }
@@ -37,7 +39,6 @@ type Benchmark struct {
 type Report struct {
 	GoOS       string      `json:"goos,omitempty"`
 	GoArch     string      `json:"goarch,omitempty"`
-	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
@@ -154,6 +155,7 @@ func find(bs []Benchmark, name string) *Benchmark {
 
 func parse(sc *bufio.Scanner) (*Report, error) {
 	rep := &Report{}
+	pkg := ""
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -165,7 +167,7 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 			rep.GoArch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 			continue
 		case strings.HasPrefix(line, "pkg:"):
-			rep.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 			continue
 		case strings.HasPrefix(line, "cpu:"):
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
@@ -182,7 +184,7 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 		if err != nil {
 			continue
 		}
-		b := Benchmark{Name: fields[0], Iterations: iters, Metrics: map[string]float64{}}
+		b := Benchmark{Name: fields[0], Pkg: pkg, Iterations: iters, Metrics: map[string]float64{}}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {

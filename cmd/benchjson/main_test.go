@@ -27,7 +27,7 @@ func parseSample(t *testing.T) *Report {
 
 func TestParseBenchOutput(t *testing.T) {
 	rep := parseSample(t)
-	if rep.GoOS != "linux" || rep.Pkg != "roborepair" {
+	if rep.GoOS != "linux" || rep.Benchmarks[0].Pkg != "roborepair" {
 		t.Fatalf("header fields: %+v", rep)
 	}
 	if len(rep.Benchmarks) != 2 {
@@ -77,5 +77,44 @@ func TestCeilingParseAndBreach(t *testing.T) {
 	}
 	if got := b.Metrics[cs[0].metric]; got <= cs[0].max {
 		t.Fatalf("sample should breach the 279000 ceiling, got %g", got)
+	}
+}
+
+// TestPackageStampedPerBenchmark feeds the output of two packages run in
+// one go test invocation: each benchmark carries the package whose `pkg:`
+// header precedes it, not the last header seen.
+func TestPackageStampedPerBenchmark(t *testing.T) {
+	const twoPkgs = `goos: linux
+goarch: amd64
+pkg: roborepair/internal/sim
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkSchedulerChurn-2    	 1000000	       151.5 ns/op	       0 B/op	       0 allocs/op
+BenchmarkSchedulerHotLoop-2  	 1000000	        98.1 ns/op	       0 B/op	       0 allocs/op
+PASS
+ok  	roborepair/internal/sim	0.950s
+goos: linux
+goarch: amd64
+pkg: roborepair/internal/radio
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkMediumBroadcast-2   	 1000000	       402.0 ns/op	       0 B/op	       0 allocs/op
+PASS
+ok  	roborepair/internal/radio	0.612s
+`
+	rep, err := parse(bufio.NewScanner(strings.NewReader(twoPkgs)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"BenchmarkSchedulerChurn-2":   "roborepair/internal/sim",
+		"BenchmarkSchedulerHotLoop-2": "roborepair/internal/sim",
+		"BenchmarkMediumBroadcast-2":  "roborepair/internal/radio",
+	}
+	if len(rep.Benchmarks) != len(want) {
+		t.Fatalf("parsed %d benchmarks, want %d", len(rep.Benchmarks), len(want))
+	}
+	for _, b := range rep.Benchmarks {
+		if b.Pkg != want[b.Name] {
+			t.Errorf("%s stamped with package %q, want %q", b.Name, b.Pkg, want[b.Name])
+		}
 	}
 }

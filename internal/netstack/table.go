@@ -1,7 +1,7 @@
 package netstack
 
 import (
-	"sort"
+	"slices"
 
 	"roborepair/internal/geom"
 	"roborepair/internal/radio"
@@ -16,29 +16,63 @@ type Neighbor struct {
 	LastHeard sim.Time
 }
 
-// NeighborTable tracks a node's one-hop neighbors. The zero value is not
-// usable; create tables with NewNeighborTable.
+// NeighborTable tracks a node's one-hop neighbors in a slice kept in
+// ascending ID order: lookups binary-search it, and iteration order is
+// deterministic without sorting. Create tables with NewNeighborTable.
 type NeighborTable struct {
-	entries map[radio.NodeID]Neighbor
+	entries []Neighbor
 }
 
+// initialTableCap is the capacity of a table's first allocation: at the
+// paper's density a sensor has about 15 neighbors, so the slice reaches
+// its size in one or two growth steps instead of five.
+const initialTableCap = 8
+
 // NewNeighborTable returns an empty table.
-func NewNeighborTable() *NeighborTable {
-	return &NeighborTable{entries: make(map[radio.NodeID]Neighbor)}
+func NewNeighborTable() *NeighborTable { return &NeighborTable{} }
+
+// find returns the index of id's entry, or where it would be inserted,
+// and whether it is present.
+func (t *NeighborTable) find(id radio.NodeID) (int, bool) {
+	lo, hi := 0, len(t.entries)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if t.entries[h].ID < id {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(t.entries) && t.entries[lo].ID == id
 }
 
 // Upsert records that id was heard at loc at time now.
 func (t *NeighborTable) Upsert(id radio.NodeID, loc geom.Point, now sim.Time) {
-	t.entries[id] = Neighbor{ID: id, Loc: loc, LastHeard: now}
+	n := Neighbor{ID: id, Loc: loc, LastHeard: now}
+	i, ok := t.find(id)
+	switch {
+	case ok:
+		t.entries[i] = n
+	case t.entries == nil:
+		t.entries = append(make([]Neighbor, 0, initialTableCap), n)
+	default:
+		t.entries = slices.Insert(t.entries, i, n)
+	}
 }
 
 // Remove deletes a neighbor (e.g. after its failure is detected).
-func (t *NeighborTable) Remove(id radio.NodeID) { delete(t.entries, id) }
+func (t *NeighborTable) Remove(id radio.NodeID) {
+	if i, ok := t.find(id); ok {
+		t.entries = slices.Delete(t.entries, i, i+1)
+	}
+}
 
 // Get returns the entry for id.
 func (t *NeighborTable) Get(id radio.NodeID) (Neighbor, bool) {
-	n, ok := t.entries[id]
-	return n, ok
+	if i, ok := t.find(id); ok {
+		return t.entries[i], true
+	}
+	return Neighbor{}, false
 }
 
 // Len reports the number of entries.
@@ -47,88 +81,31 @@ func (t *NeighborTable) Len() int { return len(t.entries) }
 // Touch refreshes LastHeard for an existing entry without changing its
 // location; it reports whether the entry existed.
 func (t *NeighborTable) Touch(id radio.NodeID, now sim.Time) bool {
-	n, ok := t.entries[id]
-	if !ok {
-		return false
+	i, ok := t.find(id)
+	if ok {
+		t.entries[i].LastHeard = now
 	}
-	n.LastHeard = now
-	t.entries[id] = n
-	return true
+	return ok
 }
 
 // Purge removes entries not heard since the deadline and returns the
 // removed IDs in ascending order.
 func (t *NeighborTable) Purge(deadline sim.Time) []radio.NodeID {
 	var removed []radio.NodeID
-	for id, n := range t.entries {
+	kept := t.entries[:0]
+	for _, n := range t.entries {
 		if n.LastHeard < deadline {
-			removed = append(removed, id)
+			removed = append(removed, n.ID)
+		} else {
+			kept = append(kept, n)
 		}
 	}
-	sort.Slice(removed, func(i, j int) bool { return removed[i] < removed[j] })
-	for _, id := range removed {
-		delete(t.entries, id)
-	}
+	t.entries = kept
 	return removed
 }
 
-// All returns the entries in ascending ID order (deterministic iteration
-// for the simulator).
+// All returns a copy of the entries in ascending ID order (deterministic
+// iteration for the simulator).
 func (t *NeighborTable) All() []Neighbor {
-	out := make([]Neighbor, 0, len(t.entries))
-	for _, n := range t.entries {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// ClosestTo returns the neighbor geographically closest to target and
-// whether the table is non-empty.
-func (t *NeighborTable) ClosestTo(target geom.Point) (Neighbor, bool) {
-	best := Neighbor{}
-	bestD := -1.0
-	for _, n := range t.All() {
-		d := n.Loc.Dist2(target)
-		if bestD < 0 || d < bestD {
-			best, bestD = n, d
-		}
-	}
-	return best, bestD >= 0
-}
-
-// NearestNeighbor returns the neighbor closest to self, used for guardian
-// selection ("picks its nearest neighbor as its guardian"). except lists
-// IDs to skip (e.g. robots, which never act as guardians).
-func (t *NeighborTable) NearestNeighbor(self geom.Point, except map[radio.NodeID]bool) (Neighbor, bool) {
-	best := Neighbor{}
-	bestD := -1.0
-	for _, n := range t.All() {
-		if except[n.ID] {
-			continue
-		}
-		d := n.Loc.Dist2(self)
-		if bestD < 0 || d < bestD {
-			best, bestD = n, d
-		}
-	}
-	return best, bestD >= 0
-}
-
-// GabrielNeighbors returns the table entries that form Gabriel-graph edges
-// with self, witnessed by the full table — the planar subgraph face
-// routing walks.
-func (t *NeighborTable) GabrielNeighbors(self geom.Point) []Neighbor {
-	all := t.All()
-	witnesses := make([]geom.Point, len(all))
-	for i, n := range all {
-		witnesses[i] = n.Loc
-	}
-	var out []Neighbor
-	for _, n := range all {
-		if geom.GabrielEdge(self, n.Loc, witnesses) {
-			out = append(out, n)
-		}
-	}
-	return out
+	return append(make([]Neighbor, 0, len(t.entries)), t.entries...)
 }

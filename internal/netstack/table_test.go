@@ -1,10 +1,13 @@
 package netstack
 
 import (
+	"slices"
 	"testing"
 
 	"roborepair/internal/geom"
 	"roborepair/internal/radio"
+	"roborepair/internal/rng"
+	"roborepair/internal/sim"
 )
 
 func TestTableUpsertGetRemove(t *testing.T) {
@@ -70,46 +73,68 @@ func TestTableAllSorted(t *testing.T) {
 	}
 }
 
-func TestTableClosestTo(t *testing.T) {
-	tb := NewNeighborTable()
-	if _, ok := tb.ClosestTo(geom.Pt(0, 0)); ok {
-		t.Fatal("empty table reported a closest neighbor")
-	}
-	tb.Upsert(1, geom.Pt(10, 0), 0)
-	tb.Upsert(2, geom.Pt(4, 0), 0)
-	tb.Upsert(3, geom.Pt(7, 0), 0)
-	n, ok := tb.ClosestTo(geom.Pt(0, 0))
-	if !ok || n.ID != 2 {
-		t.Fatalf("ClosestTo = %v", n)
-	}
-}
-
-func TestTableNearestNeighborWithExclusion(t *testing.T) {
-	tb := NewNeighborTable()
-	tb.Upsert(1, geom.Pt(1, 0), 0)
-	tb.Upsert(2, geom.Pt(2, 0), 0)
-	n, ok := tb.NearestNeighbor(geom.Pt(0, 0), map[radio.NodeID]bool{1: true})
-	if !ok || n.ID != 2 {
-		t.Fatalf("NearestNeighbor = %v, want 2", n)
-	}
-	if _, ok := tb.NearestNeighbor(geom.Pt(0, 0), map[radio.NodeID]bool{1: true, 2: true}); ok {
-		t.Fatal("all-excluded table reported a neighbor")
-	}
-}
-
-func TestTableGabrielNeighbors(t *testing.T) {
-	tb := NewNeighborTable()
-	self := geom.Pt(0, 0)
-	tb.Upsert(1, geom.Pt(10, 0), 0)
-	tb.Upsert(2, geom.Pt(20, 0), 0) // blocked by 1 (1 is inside circle self-2)
-	tb.Upsert(3, geom.Pt(0, 10), 0)
-	gn := tb.GabrielNeighbors(self)
-	ids := map[radio.NodeID]bool{}
-	for _, n := range gn {
-		ids[n.ID] = true
-	}
-	if !ids[1] || !ids[3] || ids[2] {
-		t.Fatalf("Gabriel neighbors = %v, want {1,3}", ids)
+// TestTableMatchesMapModel drives the table through seeded random
+// Upsert/Remove/Touch/Purge sequences against a map reference: after
+// every operation the table must hold exactly the model's entries in
+// ascending ID order, and every Purge must return the IDs the model
+// expires, ascending.
+func TestTableMatchesMapModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rng.New(seed)
+		tb := NewNeighborTable()
+		model := map[radio.NodeID]Neighbor{}
+		now := sim.Time(0)
+		for op := 0; op < 2000; op++ {
+			now += sim.Time(r.Intn(5))
+			id := radio.NodeID(r.Intn(40))
+			switch r.Intn(8) {
+			case 0, 1, 2, 3:
+				loc := geom.Pt(r.Uniform(0, 100), r.Uniform(0, 100))
+				tb.Upsert(id, loc, now)
+				model[id] = Neighbor{ID: id, Loc: loc, LastHeard: now}
+			case 4:
+				tb.Remove(id)
+				delete(model, id)
+			case 5, 6:
+				n, ok := model[id]
+				if ok {
+					n.LastHeard = now
+					model[id] = n
+				}
+				if got := tb.Touch(id, now); got != ok {
+					t.Fatalf("seed %d op %d: Touch(%d) = %v, model has it: %v", seed, op, id, got, ok)
+				}
+			case 7:
+				deadline := now - sim.Time(r.Intn(60))
+				var want []radio.NodeID
+				for id, n := range model {
+					if n.LastHeard < deadline {
+						want = append(want, id)
+						delete(model, id)
+					}
+				}
+				slices.Sort(want)
+				if got := tb.Purge(deadline); !slices.Equal(got, want) {
+					t.Fatalf("seed %d op %d: Purge(%v) = %v, want %v", seed, op, deadline, got, want)
+				}
+			}
+			all := tb.All()
+			if len(all) != len(model) || tb.Len() != len(model) {
+				t.Fatalf("seed %d op %d: table has %d entries (Len %d), model %d",
+					seed, op, len(all), tb.Len(), len(model))
+			}
+			for i, n := range all {
+				if i > 0 && all[i-1].ID >= n.ID {
+					t.Fatalf("seed %d op %d: entries not ID-ascending: %v", seed, op, all)
+				}
+				if model[n.ID] != n {
+					t.Fatalf("seed %d op %d: entry %v, model %v", seed, op, n, model[n.ID])
+				}
+				if got, ok := tb.Get(n.ID); !ok || got != n {
+					t.Fatalf("seed %d op %d: Get(%d) = %v, %v", seed, op, n.ID, got, ok)
+				}
+			}
+		}
 	}
 }
 

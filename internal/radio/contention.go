@@ -134,7 +134,7 @@ func (m *Medium) tryTransmit(f Frame, enc []byte, pos sendSnapshot, frameID uint
 		for _, n := range audible {
 			m.air.mark(n.id, reception{frame: frameID, start: start, end: end})
 		}
-		m.recycle(audible)
+		m.release(audible)
 		// The sender itself hears its own transmission (for carrier
 		// sensing by its later frames).
 		m.air.mark(f.Src, reception{frame: frameID, start: start, end: end})
@@ -177,5 +177,5 @@ func (m *Medium) deliverContended(f Frame, enc []byte, frameID uint64, start, en
 	for _, n := range buf {
 		deliverTo(n)
 	}
-	m.recycle(buf)
+	m.release(buf)
 }

@@ -216,10 +216,21 @@ type Medium struct {
 	grid     map[cellKey][]NodeID
 	air      *air
 	frameSeq uint64
-	// scratch is the reusable neighbor buffer for broadcast delivery; it
-	// keeps the per-Send slice allocation off the hot path. Borrow it
-	// with neighbors() and hand it back with recycle().
-	scratch []neighbor
+	// mobiles lists the attached mobile stations in ID order; cached
+	// broadcasts merge them into a static sender's neighbor set.
+	mobiles []NodeID
+	// statics, arena, arenaDead and cacheRange hold the per-sender static
+	// neighbor sets (see static.go).
+	statics    []staticSet
+	arena      []int32
+	arenaDead  int
+	cacheRange float64
+	// bufs are the broadcast delivery buffers, one per delivery depth:
+	// a Send re-entered from HandleFrame (a flood relay) fills the next
+	// one while its caller still iterates its own. depth is the number of
+	// buffers in use.
+	bufs  [][]neighbor
+	depth int
 	// collisionCt is the pre-resolved handle for the contention model's
 	// per-reception collision accounting.
 	collisionCt *metrics.Counter
@@ -333,7 +344,7 @@ func (m *Medium) Attach(s Station) {
 	}
 	m.ensureID(id)
 	if m.stations[id] != nil {
-		m.removeFromGridAt(id, m.cell[id])
+		m.forget(id)
 		m.count--
 	}
 	m.stations[id] = s
@@ -346,6 +357,12 @@ func (m *Medium) Attach(s Station) {
 	m.cell[id] = k
 	m.grid[k] = append(m.grid[k], id)
 	m.count++
+	if m.mobile[id] {
+		i, _ := slices.BinarySearch(m.mobiles, id)
+		m.mobiles = slices.Insert(m.mobiles, i, id)
+	} else {
+		m.invalidateAround(p)
+	}
 }
 
 // Detach removes a station from the medium entirely.
@@ -353,11 +370,23 @@ func (m *Medium) Detach(id NodeID) {
 	if m.station(id) == nil {
 		return
 	}
-	m.removeFromGridAt(id, m.cell[id])
+	m.forget(id)
 	m.stations[id] = nil
 	m.active[id] = false
 	m.mobile[id] = false
 	m.count--
+}
+
+// forget drops an attached station from the grid, the mobile list and
+// every static neighbor set that may hold it.
+func (m *Medium) forget(id NodeID) {
+	m.removeFromGridAt(id, m.cell[id])
+	if m.mobile[id] {
+		i, _ := slices.BinarySearch(m.mobiles, id)
+		m.mobiles = slices.Delete(m.mobiles, i, i+1)
+	} else {
+		m.invalidateAround(m.pos[id])
+	}
 }
 
 // SetActive updates the medium's activity cache for an attached station.
@@ -371,7 +400,7 @@ func (m *Medium) SetActive(id NodeID, active bool) {
 }
 
 // Moved must be called after a station's position changes so the spatial
-// index stays consistent. The old position is no longer needed — the
+// index and the static neighbor sets stay consistent. The old position is no longer needed — the
 // medium tracks grid membership itself — but the parameter is kept so
 // call sites read naturally.
 func (m *Medium) Moved(id NodeID, oldPos geom.Point) {
@@ -381,6 +410,10 @@ func (m *Medium) Moved(id NodeID, oldPos geom.Point) {
 		return
 	}
 	p := s.RadioPos()
+	if !m.mobile[id] {
+		m.invalidateAround(m.pos[id])
+		m.invalidateAround(p)
+	}
 	m.pos[id] = p
 	newKey := m.keyOf(p)
 	if newKey == m.cell[id] {
@@ -425,7 +458,8 @@ type neighbor struct {
 // InRange returns the active stations strictly within radius of p,
 // excluding the station with ID exclude. Results are in deterministic
 // (ID-sorted) order. The returned slice is freshly allocated; internal
-// delivery paths use the reusable scratch buffer instead (see neighbors).
+// delivery paths use the per-depth delivery buffers instead (see
+// neighbors).
 func (m *Medium) InRange(p geom.Point, radius float64, exclude NodeID) []Station {
 	if radius <= 0 {
 		return nil
@@ -514,27 +548,29 @@ func (m *Medium) inRangeAppend(dst []neighbor, p geom.Point, radius float64, exc
 	return dst
 }
 
-// neighbors fills the medium's scratch buffer with the active stations in
-// range. The caller owns the returned slice until it hands it back via
-// recycle; taking ownership (nilling m.scratch) keeps reentrant Sends —
-// flood relays retransmit synchronously from HandleFrame — from clobbering
-// the buffer mid-iteration.
+// neighbors fills the buffer of the current delivery depth with the
+// active stations in range, in ID order, and returns it; the caller hands
+// it back with release once delivery is done. A static sender at its
+// cached position is served from its static neighbor set, everything
+// else from the grid.
 func (m *Medium) neighbors(p geom.Point, radius float64, exclude NodeID) []neighbor {
-	buf := m.scratch[:0]
-	m.scratch = nil
+	if m.depth == len(m.bufs) {
+		m.bufs = append(m.bufs, nil)
+	}
+	buf := m.bufs[m.depth][:0]
+	m.depth++
+	if m.station(exclude) != nil && !m.mobile[exclude] && m.pos[exclude] == p && radius > 0 {
+		return m.staticAppend(buf, exclude, p, radius)
+	}
 	return m.inRangeAppend(buf, p, radius, exclude)
 }
 
-// recycle returns a neighbors buffer for reuse, dropping station
-// references so detached stations are not pinned. When reentrant delivery
-// installed its own (smaller) buffer meanwhile, the larger one wins.
-func (m *Medium) recycle(buf []neighbor) {
-	for i := range buf {
-		buf[i] = neighbor{}
-	}
-	if cap(buf) > cap(m.scratch) {
-		m.scratch = buf[:0]
-	}
+// release returns the deepest delivery buffer, dropping its station
+// references so detached stations are not pinned.
+func (m *Medium) release(buf []neighbor) {
+	clear(buf)
+	m.depth--
+	m.bufs[m.depth] = buf[:0]
 }
 
 // sortCutover is the neighbor count above which sortNeighbors switches
@@ -662,7 +698,7 @@ func (m *Medium) deliver(f Frame, enc []byte, from geom.Point, rng float64) {
 		}
 		m.handoff(f, enc, from, rng, n.st)
 	}
-	m.recycle(buf)
+	m.release(buf)
 }
 
 // CatCorruptFrame counts receptions whose bytes the hostile channel

@@ -22,11 +22,12 @@ func (s *benchStation) RadioRange() float64  { return s.rng }
 func (s *benchStation) RadioActive() bool    { return true }
 func (s *benchStation) HandleFrame(Frame)    {}
 
-// BenchmarkMediumBroadcast measures the broadcast hot path — spatial-index
-// lookup, neighbor sort, and delivery — at the paper's sensor density
-// (~50 sensors per 200 m × 200 m, 63 m range ⇒ ~15 neighbors per send).
-// The allocs/op figure tracks the de-allocation work: with the reusable
-// scratch buffer a steady-state broadcast should allocate nothing.
+// BenchmarkMediumBroadcast measures the broadcast hot path of a static
+// sender — its cached neighbor set filtered by activity, then delivery —
+// at the paper's sensor density (~50 sensors per 200 m × 200 m, 63 m
+// range ⇒ ~15 neighbors per send). With the set built on the first send
+// and the delivery buffers reused, a steady-state broadcast should
+// allocate nothing.
 func BenchmarkMediumBroadcast(b *testing.B) {
 	m, _, _ := newTestMedium(Config{CellSize: 63})
 	const side = 200.0
@@ -46,10 +47,9 @@ func BenchmarkMediumBroadcast(b *testing.B) {
 }
 
 // BenchmarkNeighborsDense measures a broadcast in a pathologically dense
-// cell: 256 stations all within range of the sender, an order of magnitude
-// past the sortCutover, so the neighbor sort runs through slices.SortFunc
-// instead of the short-list insertion sort. Steady state must still be
-// allocation-free.
+// cell: 256 stations all within range of the sender, so every send walks
+// and delivers to a neighbor set an order of magnitude past the paper's.
+// Steady state must still be allocation-free.
 func BenchmarkNeighborsDense(b *testing.B) {
 	m, _, _ := newTestMedium(Config{CellSize: 63})
 	const n = 256

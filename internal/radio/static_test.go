@@ -1,0 +1,187 @@
+package radio
+
+import (
+	"slices"
+	"testing"
+
+	"roborepair/internal/geom"
+)
+
+// cacheStation is a station for the static-cache differential test. A
+// mobile one reports RadioMobile and may drift between Moved calls, as a
+// robot interpolating along its travel leg does.
+type cacheStation struct {
+	id     NodeID
+	pos    geom.Point
+	rng    float64
+	mobile bool
+	recv   func(s *cacheStation, f Frame)
+}
+
+func (s *cacheStation) RadioID() NodeID      { return s.id }
+func (s *cacheStation) RadioPos() geom.Point { return s.pos }
+func (s *cacheStation) RadioRange() float64  { return s.rng }
+func (s *cacheStation) RadioActive() bool    { return true }
+func (s *cacheStation) RadioMobile() bool    { return s.mobile }
+func (s *cacheStation) HandleFrame(f Frame)  { s.recv(s, f) }
+
+var _ MobileStation = (*cacheStation)(nil)
+
+// relayMsg tags a test frame with its sequence number and relay depth.
+type relayMsg struct{ seq, depth int }
+
+// deliveryLog is an Auditor recording each frame's receivers in delivery
+// order.
+type deliveryLog struct{ got map[int][]NodeID }
+
+func (l *deliveryLog) FrameSent(Frame)       {}
+func (l *deliveryLog) FrameDuplicated(Frame) {}
+func (l *deliveryLog) FrameDelivered(f Frame, _ geom.Point, _ float64, dst Station) {
+	seq := f.Payload.(relayMsg).seq
+	l.got[seq] = append(l.got[seq], dst.RadioID())
+}
+
+// TestStaticCacheMatchesGrid drives the medium through a seeded churn —
+// static attaches (replacements booting at a failed sensor's position
+// among them), activity toggles, robots drifting and crossing cells,
+// detaches, re-attaches, static moves and senders changing range — and
+// checks every broadcast against the grid query: the receivers and their
+// order must equal inRangeAppend's at the moment of the Send. The first
+// receiver of every frame relays it, three levels deep, so the per-depth
+// delivery buffers are exercised by re-entrant sends.
+func TestStaticCacheMatchesGrid(t *testing.T) {
+	const (
+		side     = 800.0 // the paper's field and density
+		sensors  = 800
+		robots   = 16
+		maxDepth = 3
+	)
+	m, _, _ := newTestMedium(Config{CellSize: 63})
+	log := &deliveryLog{got: map[int][]NodeID{}}
+	m.SetAuditor(log)
+	rng := gridRNG(0xC0FFEE)
+	ranges := []float64{40, 63, 63, 63, 90, 150}
+
+	var (
+		all      []*cacheStation // by ID
+		attached []bool
+		active   []bool
+		want     = map[int][]NodeID{}
+		seq      int
+		deepest  int
+		send     func(s *cacheStation, depth int)
+	)
+	recv := func(s *cacheStation, f Frame) {
+		msg := f.Payload.(relayMsg)
+		if msg.depth < maxDepth && len(log.got[msg.seq]) == 1 {
+			send(s, msg.depth+1)
+		}
+	}
+	send = func(s *cacheStation, depth int) {
+		seq++
+		var ids []NodeID
+		for _, n := range m.inRangeAppend(nil, m.posOf(s.id), s.rng, s.id) {
+			ids = append(ids, n.id)
+		}
+		want[seq] = ids
+		deepest = max(deepest, depth)
+		m.Send(Frame{Src: s.id, Dst: IDBroadcast, Category: "x", Payload: relayMsg{seq: seq, depth: depth}})
+	}
+	randPos := func() geom.Point { return geom.Pt(rng.float()*side, rng.float()*side) }
+	attach := func(s *cacheStation) {
+		m.Attach(s)
+		attached[s.id], active[s.id] = true, true
+	}
+	add := func(pos geom.Point, mobile bool) *cacheStation {
+		s := &cacheStation{id: NodeID(len(all)), pos: pos, rng: 63, mobile: mobile, recv: recv}
+		all = append(all, s)
+		attached = append(attached, false)
+		active = append(active, false)
+		attach(s)
+		return s
+	}
+	pick := func(ok func(s *cacheStation) bool) *cacheStation {
+		for try := 0; try < 50; try++ {
+			if s := all[rng.next()%uint64(len(all))]; ok(s) {
+				return s
+			}
+		}
+		return nil
+	}
+	live := func(s *cacheStation) bool { return attached[s.id] && active[s.id] }
+	liveStatic := func(s *cacheStation) bool { return live(s) && !s.mobile }
+
+	for i := 0; i < sensors; i++ {
+		add(randPos(), false)
+	}
+	for i := 0; i < robots; i++ {
+		add(randPos(), true)
+	}
+
+	sends := 0
+	for op := 0; op < 40_000; op++ {
+		switch rng.next() % 16 {
+		case 0, 1, 2, 3, 4, 5: // broadcast, mostly from static senders
+			if s := pick(live); s != nil {
+				send(s, 0)
+				sends++
+			}
+		case 6: // activity toggle
+			if s := pick(func(s *cacheStation) bool { return attached[s.id] }); s != nil {
+				active[s.id] = !active[s.id]
+				m.SetActive(s.id, active[s.id])
+			}
+		case 7: // a sensor fails and its replacement boots at its position
+			if s := pick(liveStatic); s != nil {
+				active[s.id] = false
+				m.SetActive(s.id, false)
+				add(s.pos, false)
+			}
+		case 8, 9: // a robot drifts along its leg without a Moved call
+			if s := pick(func(s *cacheStation) bool { return s.mobile && attached[s.id] }); s != nil {
+				s.pos = geom.Pt(s.pos.X+rng.float()*40-20, s.pos.Y+rng.float()*40-20)
+			}
+		case 10: // a robot moves, usually across cells, and reports it
+			if s := pick(func(s *cacheStation) bool { return s.mobile && attached[s.id] }); s != nil {
+				old := s.pos
+				s.pos = randPos()
+				m.Moved(s.id, old)
+			}
+		case 11: // detach
+			if s := pick(func(s *cacheStation) bool { return attached[s.id] }); s != nil {
+				m.Detach(s.id)
+				attached[s.id] = false
+			}
+		case 12: // re-attach a detached station somewhere else
+			if s := pick(func(s *cacheStation) bool { return !attached[s.id] }); s != nil {
+				s.pos = randPos()
+				attach(s)
+			}
+		case 13: // a static sender's range changes
+			if s := pick(liveStatic); s != nil {
+				s.rng = ranges[rng.next()%uint64(len(ranges))]
+			}
+		case 14: // a static station is repositioned and reports it
+			if s := pick(liveStatic); s != nil {
+				old := s.pos
+				s.pos = randPos()
+				m.Moved(s.id, old)
+			}
+		case 15: // a new sensor joins the field
+			add(randPos(), false)
+		}
+		if m.depth != 0 {
+			t.Fatalf("op %d: %d delivery buffers still in use after the send returned", op, m.depth)
+		}
+	}
+
+	if sends < 1000 || deepest < maxDepth || m.cacheRange == 0 {
+		t.Fatalf("churn too tame: %d sends, deepest relay %d, largest cached range %v",
+			sends, deepest, m.cacheRange)
+	}
+	for s := 1; s <= seq; s++ {
+		if !slices.Equal(log.got[s], want[s]) {
+			t.Fatalf("frame %d: delivered to %v, grid query says %v", s, log.got[s], want[s])
+		}
+	}
+}

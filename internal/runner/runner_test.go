@@ -34,7 +34,7 @@ func fingerprint(t *testing.T, r scenario.Results) string {
 
 // TestRunDeterministicAcrossRepeats guards the simulator core: the same
 // (config, seed) must reproduce byte-identical results run-to-run. This
-// is the invariant the event pool and scratch-buffer reuse must not break.
+// is the invariant the event pool and delivery-buffer reuse must not break.
 func TestRunDeterministicAcrossRepeats(t *testing.T) {
 	for _, alg := range []core.Algorithm{core.Centralized, core.Fixed, core.Dynamic} {
 		cfg := tinyConfig(alg, 7)
