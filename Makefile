@@ -26,15 +26,15 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Machine-readable benchmark record for the per-PR perf ratchet (see
-# DESIGN.md §12.5): runs the end-to-end throughput bench (bare and with
+# DESIGN.md §12.3): runs the end-to-end throughput bench (bare and with
 # the flight recorder armed) plus the kernel and radio microbenches, and
-# writes the parsed metrics to BENCH_PR12.json.
+# writes the parsed metrics to BENCH_PR13.json.
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput$$|BenchmarkSimulatorThroughputFTDC' -benchmem -benchtime 3x . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkSchedulerHotLoop|BenchmarkSchedulerChurn' -benchmem ./internal/sim ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkSchedulerHotLoop$$|BenchmarkSchedulerChurn' -benchmem ./internal/sim ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkNeighborsDense|BenchmarkMediumBroadcast$$' -benchmem ./internal/radio ; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_PR12.json
-	@echo "wrote BENCH_PR12.json"
+	| $(GO) run ./cmd/benchjson -o BENCH_PR13.json
+	@echo "wrote BENCH_PR13.json"
 
 # Fast allocation check on the hot-path benchmarks only (seconds, not
 # minutes): scheduler churn, medium broadcast, end-to-end throughput.
@@ -78,18 +78,18 @@ invariant-smoke:
 	$(GO) run ./cmd/invck -seeds 2 -simtime 4000
 
 # Checkpoint/restore gate: the differential test snapshots a mid-flight
-# run under every algorithm × kernel combination, round-trips it through
-# the binary format, restores, and requires the continuation to be
-# bit-identical to an uninterrupted run (results JSON and trace events).
+# run under every algorithm, round-trips it through the binary format,
+# restores, and requires the continuation to be bit-identical to an
+# uninterrupted run (results JSON and trace events).
 # The journal test proves a SIGKILLed sweep resumes to a byte-identical
 # CSV.
 checkpoint-smoke:
 	$(GO) test -run 'TestCheckpointRestoreDifferential|TestRestoreRejectsTamperedSnapshot' ./internal/scenario
 	$(GO) test -run 'TestSweepKillMinusNineResume' ./cmd/sweep
 
-# Cross-algorithm conformance gate: every registered algorithm × both
-# queue kernels must satisfy the registry contract — serial-vs-pool
-# determinism, snapshot→restore→continue bit-identity, zero invariant
+# Cross-algorithm conformance gate: every registered algorithm must
+# satisfy the registry contract — serial-vs-pool determinism,
+# snapshot→restore→continue bit-identity, zero invariant
 # violations under the burst/blackout/corrupt chaos plans, and
 # observability-off-is-absent. A newly registered algorithm is covered
 # with no test edits.
@@ -125,10 +125,11 @@ energy-smoke:
 # The chaos target guards the fault-plan DSL round trip, the wire targets
 # the binary codec's canonical-form property and the frame decoder's
 # never-panic/never-wrongly-accept property under arbitrary mutation, and
-# the kernel target drives the ladder and heap schedulers through random
-# op sequences asserting identical fire traces. The snapshot and ftdc
-# targets mutate encoded checkpoints/recordings asserting the decoders
-# never panic and anything they accept re-encodes canonically.
+# the kernel target drives the ladder scheduler and the test-only
+# reference heap through random op sequences asserting identical fire
+# traces. The snapshot and ftdc targets mutate encoded
+# checkpoints/recordings asserting the decoders never panic and anything
+# they accept re-encodes canonically.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChaosParse -fuzztime 30s ./internal/chaos
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 30s ./internal/wire

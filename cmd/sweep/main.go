@@ -96,7 +96,6 @@ func run(args []string) error {
 	ckptDir := fs.String("checkpoint-dir", "", "snapshot each running job's simulator state into this directory (with -checkpoint-every)")
 	ckptEvery := fs.Float64("checkpoint-every", 0, "per-job snapshot period in simulated seconds (0 = no mid-job snapshots)")
 	ftdcDir := fs.String("ftdc", "", "arm black-box flight recording on every run; runs that panic or violate invariants dump job-NNNNNN.ftdc here (decode with ftdcdump)")
-	kernel := fs.String("kernel", "", "event-queue kernel: ladder (default) or heap")
 	scale := fs.Int("scale", 1, "multiply sensors-per-robot by this factor, growing the field to keep density (stress runs)")
 	cpuprofile := fs.String("cpuprofile", "", "write CPU profile to file")
 	memprofile := fs.String("memprofile", "", "write heap profile to file")
@@ -147,7 +146,6 @@ func run(args []string) error {
 				cfg.SimTime = *simtime
 				cfg.Seed = seed
 				cfg.Faults = plan
-				cfg.Kernel = *kernel
 				if *scale > 1 {
 					// Same sensor density on a larger field: more nodes,
 					// more events, unchanged per-node physics.

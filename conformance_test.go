@@ -2,8 +2,7 @@
 // algorithm must satisfy to live in the registry. The suite enumerates
 // internal/algorithm's registry — it does NOT hardcode algorithm names —
 // so a newly registered family is exercised by every assertion here with
-// zero test edits. Each registered algorithm, on both event-queue
-// kernels, must be
+// zero test edits. Each registered algorithm must be
 //
 //	(a) deterministic: a serial Run and a RunMany worker-pool run of the
 //	    same config produce byte-identical Results JSON;
@@ -26,19 +25,14 @@ import (
 	"roborepair/internal/algorithm"
 )
 
-// conformanceKernels are the event-queue implementations every algorithm
-// must behave identically well on.
-var conformanceKernels = []string{"heap", "ladder"}
-
 // conformanceConfig is the common base: a short horizon with plenty of
 // failures inside it, the reliability protocol armed (it exercises
 // re-dispatch and takeover paths), the battery layer live (admission
 // checks, recharge detours, and handoffs run inside every contract), and
 // a full trace as the bit-identity oracle.
-func conformanceConfig(alg roborepair.Algorithm, kernel string) roborepair.Config {
+func conformanceConfig(alg roborepair.Algorithm) roborepair.Config {
 	cfg := roborepair.DefaultConfig()
 	cfg.Algorithm = alg
-	cfg.Kernel = kernel
 	cfg.SimTime = 2400
 	cfg.MeanLifetime = 1500
 	cfg.Seed = 5
@@ -50,18 +44,16 @@ func conformanceConfig(alg roborepair.Algorithm, kernel string) roborepair.Confi
 	return cfg
 }
 
-// forEachAlgorithm runs fn once per registered algorithm × kernel, as a
-// named subtest. This is the only loop in the suite; everything iterates
-// the registry.
-func forEachAlgorithm(t *testing.T, fn func(t *testing.T, alg roborepair.Algorithm, kernel string)) {
+// forEachAlgorithm runs fn once per registered algorithm, as a parallel
+// subtest named "<algorithm>/ladder" after the event queue the runs use.
+// This is the only loop in the suite; everything iterates the registry.
+func forEachAlgorithm(t *testing.T, fn func(t *testing.T, alg roborepair.Algorithm)) {
 	for _, name := range algorithm.Names() {
-		for _, kernel := range conformanceKernels {
-			alg, kernel := roborepair.Algorithm(name), kernel
-			t.Run(name+"/"+kernel, func(t *testing.T) {
-				t.Parallel()
-				fn(t, alg, kernel)
-			})
-		}
+		alg := roborepair.Algorithm(name)
+		t.Run(name+"/ladder", func(t *testing.T) {
+			t.Parallel()
+			fn(t, alg)
+		})
 	}
 }
 
@@ -92,8 +84,8 @@ func TestConformanceRegistryComplete(t *testing.T) {
 
 // TestConformanceDeterminism — contract (a).
 func TestConformanceDeterminism(t *testing.T) {
-	forEachAlgorithm(t, func(t *testing.T, alg roborepair.Algorithm, kernel string) {
-		cfg := conformanceConfig(alg, kernel)
+	forEachAlgorithm(t, func(t *testing.T, alg roborepair.Algorithm) {
+		cfg := conformanceConfig(alg)
 		cfg.Invariants.Enabled = true
 		serial, err := roborepair.Run(cfg)
 		if err != nil {
@@ -114,8 +106,8 @@ func TestConformanceDeterminism(t *testing.T) {
 
 // TestConformanceCheckpointRestore — contract (b).
 func TestConformanceCheckpointRestore(t *testing.T) {
-	forEachAlgorithm(t, func(t *testing.T, alg roborepair.Algorithm, kernel string) {
-		cfg := conformanceConfig(alg, kernel)
+	forEachAlgorithm(t, func(t *testing.T, alg roborepair.Algorithm) {
+		cfg := conformanceConfig(alg)
 
 		// Uninterrupted reference.
 		wA, err := roborepair.NewWorld(cfg)
@@ -185,9 +177,9 @@ var conformanceFaultPlans = []struct{ name, spec string }{
 
 // TestConformanceChaosCleanliness — contract (c).
 func TestConformanceChaosCleanliness(t *testing.T) {
-	forEachAlgorithm(t, func(t *testing.T, alg roborepair.Algorithm, kernel string) {
+	forEachAlgorithm(t, func(t *testing.T, alg roborepair.Algorithm) {
 		for _, plan := range conformanceFaultPlans {
-			cfg := conformanceConfig(alg, kernel)
+			cfg := conformanceConfig(alg)
 			cfg.Invariants.Enabled = true
 			faults, err := roborepair.ParseFaultPlan(plan.spec)
 			if err != nil {
@@ -210,8 +202,8 @@ func TestConformanceChaosCleanliness(t *testing.T) {
 // telemetry, and the flight recorder together changes no simulation
 // outcome, and disarmed, their Results sections are absent.
 func TestConformanceObservabilityOffIsAbsent(t *testing.T) {
-	forEachAlgorithm(t, func(t *testing.T, alg roborepair.Algorithm, kernel string) {
-		base := conformanceConfig(alg, kernel)
+	forEachAlgorithm(t, func(t *testing.T, alg roborepair.Algorithm) {
+		base := conformanceConfig(alg)
 		wOff, err := roborepair.NewWorld(base)
 		if err != nil {
 			t.Fatal(err)

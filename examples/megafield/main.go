@@ -3,14 +3,13 @@
 // with -sensors 1000000 — at the paper's density (50 sensors per
 // 200 m × 200 m robot cell), and prints engine throughput next to the
 // repair-pipeline results. The ladder-queue scheduler and the
-// struct-of-arrays radio/node state are what make this size practical;
-// pass -kernel heap to feel the difference.
+// struct-of-arrays radio/node state are what make this size practical.
 //
 // Usage:
 //
 //	megafield                       # 100k sensors, 300 sim-seconds
 //	megafield -sensors 1000000      # the full million
-//	megafield -simtime 1000 -kernel heap
+//	megafield -simtime 1000
 package main
 
 import (
@@ -28,7 +27,6 @@ func main() {
 	sensors := flag.Int("sensors", 100_000, "total sensor count (rounded to a multiple of -robots)")
 	robots := flag.Int("robots", 16, "maintenance robot count")
 	simtime := flag.Float64("simtime", 300, "simulated seconds")
-	kernel := flag.String("kernel", "", "event-queue kernel: ladder (default) or heap")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
 
@@ -44,7 +42,6 @@ func main() {
 	cfg.AreaPerRobotSide = 200 * math.Sqrt(float64(cfg.SensorsPerRobot)/50)
 	cfg.SimTime = *simtime
 	cfg.Seed = *seed
-	cfg.Kernel = *kernel
 	// At short horizons the exponential MTBF of 16000 s yields almost no
 	// failures; shrink it so the repair pipeline actually exercises.
 	cfg.MeanLifetime = 8 * *simtime

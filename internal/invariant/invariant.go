@@ -36,7 +36,7 @@ const (
 	// allocation — no double free (sim kernel).
 	LawFreeList = "sim/free-list"
 	// LawQueueIntegrity: the event queue never dispatches freed (stale-
-	// generation) storage and heap indices stay consistent (sim kernel).
+	// generation) storage (sim kernel).
 	LawQueueIntegrity = "sim/queue-integrity"
 	// LawKinematics: a robot never moves farther than speed × elapsed
 	// between position fixes — no teleports (robot package hook).

@@ -16,10 +16,9 @@ import (
 // and per-algorithm extras so every snapshot section carries real state —
 // telemetry for Fixed, a corruption window (chaos ring + hostile wiring)
 // for Dynamic.
-func ckptConfig(alg core.Algorithm, kernel string) Config {
+func ckptConfig(alg core.Algorithm) Config {
 	cfg := DefaultConfig()
 	cfg.Algorithm = alg
-	cfg.Kernel = kernel
 	cfg.SimTime = 2500
 	cfg.MeanLifetime = 3000
 	cfg.Seed = 11
@@ -39,79 +38,77 @@ func ckptConfig(alg core.Algorithm, kernel string) Config {
 	return cfg
 }
 
-// TestCheckpointRestoreDifferential is the tentpole's core contract, for
-// every algorithm on both queue kernels: a run that is (a) segmented by
+// TestCheckpointRestoreDifferential is the checkpoint layer's core
+// contract, for every algorithm: a run that is (a) segmented by
 // periodic snapshots and (b) killed at a mid-run snapshot, round-tripped
 // through the binary format, restored, and continued — produces Results and
 // an event trace bit-identical to an uninterrupted run.
 func TestCheckpointRestoreDifferential(t *testing.T) {
 	for _, alg := range []core.Algorithm{core.Centralized, core.Fixed, core.Dynamic} {
-		for _, kernel := range []string{"heap", "ladder"} {
-			t.Run(alg.String()+"/"+kernel, func(t *testing.T) {
-				cfg := ckptConfig(alg, kernel)
+		t.Run(alg.String()+"/ladder", func(t *testing.T) {
+			cfg := ckptConfig(alg)
 
-				// Uninterrupted reference run.
-				wA, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				resA := resultsJSON(t, wA.Run())
-				traceA := wA.Trace.Events()
+			// Uninterrupted reference run.
+			wA, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resA := resultsJSON(t, wA.Run())
+			traceA := wA.Trace.Events()
 
-				// Checkpointed run: snapshot every 600 s, keep the one at
-				// t=1200 round-tripped through the binary format.
-				wB, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var blob []byte
-				resB, err := wB.RunCheckpointed(CheckpointOptions{
-					Every: 600,
-					OnSnapshot: func(s *checkpoint.Snapshot) error {
-						if s.T == 1200 {
-							b, err := checkpoint.Encode(s)
-							if err != nil {
-								return err
-							}
-							blob = b
+			// Checkpointed run: snapshot every 600 s, keep the one at
+			// t=1200 round-tripped through the binary format.
+			wB, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var blob []byte
+			resB, err := wB.RunCheckpointed(CheckpointOptions{
+				Every: 600,
+				OnSnapshot: func(s *checkpoint.Snapshot) error {
+					if s.T == 1200 {
+						b, err := checkpoint.Encode(s)
+						if err != nil {
+							return err
 						}
-						return nil
-					},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := resultsJSON(t, resB); got != resA {
-					t.Errorf("segmented run diverged from uninterrupted run:\n got %s\nwant %s", got, resA)
-				}
-				if !reflect.DeepEqual(wB.Trace.Events(), traceA) {
-					t.Error("segmented run trace diverged from uninterrupted run")
-				}
-				if blob == nil {
-					t.Fatal("no snapshot captured at t=1200")
-				}
-
-				// Kill + restore: decode the banked snapshot, rebuild, and
-				// run to the horizon.
-				snap, err := checkpoint.Decode(blob)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wC, err := Restore(snap)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if wC.Sched.Now() != 1200 {
-					t.Fatalf("restored clock = %v, want 1200", wC.Sched.Now())
-				}
-				if got := resultsJSON(t, wC.Run()); got != resA {
-					t.Errorf("restored run diverged from uninterrupted run:\n got %s\nwant %s", got, resA)
-				}
-				if !reflect.DeepEqual(wC.Trace.Events(), traceA) {
-					t.Error("restored run trace diverged from uninterrupted run")
-				}
+						blob = b
+					}
+					return nil
+				},
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resultsJSON(t, resB); got != resA {
+				t.Errorf("segmented run diverged from uninterrupted run:\n got %s\nwant %s", got, resA)
+			}
+			if !reflect.DeepEqual(wB.Trace.Events(), traceA) {
+				t.Error("segmented run trace diverged from uninterrupted run")
+			}
+			if blob == nil {
+				t.Fatal("no snapshot captured at t=1200")
+			}
+
+			// Kill + restore: decode the banked snapshot, rebuild, and
+			// run to the horizon.
+			snap, err := checkpoint.Decode(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wC, err := Restore(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wC.Sched.Now() != 1200 {
+				t.Fatalf("restored clock = %v, want 1200", wC.Sched.Now())
+			}
+			if got := resultsJSON(t, wC.Run()); got != resA {
+				t.Errorf("restored run diverged from uninterrupted run:\n got %s\nwant %s", got, resA)
+			}
+			if !reflect.DeepEqual(wC.Trace.Events(), traceA) {
+				t.Error("restored run trace diverged from uninterrupted run")
+			}
+		})
 	}
 }
 
@@ -120,7 +117,7 @@ func TestCheckpointRestoreDifferential(t *testing.T) {
 // wrong section bytes, wrong clock, drifted config, wrong seed — must be
 // rejected with a diagnosable error, never silently restored.
 func TestRestoreRejectsTamperedSnapshot(t *testing.T) {
-	cfg := ckptConfig(core.Dynamic, "heap")
+	cfg := ckptConfig(core.Dynamic)
 	w, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +169,7 @@ func TestRestoreRejectsTamperedSnapshot(t *testing.T) {
 // restore time, recording only the continuation — the replay-from-snapshot
 // debugging workflow.
 func TestRestoreTailTrace(t *testing.T) {
-	cfg := ckptConfig(core.Dynamic, "heap")
+	cfg := ckptConfig(core.Dynamic)
 	cfg.TraceCapacity = 0
 	w, err := New(cfg)
 	if err != nil {
@@ -205,7 +202,7 @@ func TestRestoreTailTrace(t *testing.T) {
 // TestSnapshotDoesNotPerturb: taking a snapshot mid-run must not change the
 // run — the world keeps executing exactly as if never observed.
 func TestSnapshotDoesNotPerturb(t *testing.T) {
-	cfg := ckptConfig(core.Centralized, "ladder")
+	cfg := ckptConfig(core.Centralized)
 	wA, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -140,11 +140,6 @@ type Config struct {
 	// layer entirely and reproduces the unchecked simulator's behavior and
 	// allocations bit-for-bit.
 	Invariants invariant.Config `json:"invariants,omitempty"`
-	// Kernel selects the event-queue implementation: "" or "ladder" for
-	// the default ladder queue, "heap" for the binary heap it replaced.
-	// The two produce bit-identical runs (see DESIGN.md §12); the switch
-	// exists for differential testing and perf comparison.
-	Kernel string `json:"kernel,omitempty"`
 	// FacilityObjective selects the facility-location family's placement
 	// objective: "kmedian" (default) or "kcenter". Ignored by the other
 	// algorithms; omitted from JSON when unset so legacy config hashes
@@ -294,6 +289,11 @@ func (c Config) Validate() error {
 	if err := facility.Validate(); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
+	for _, f := range c.floatFields() {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("scenario: %s = %v not finite", f.name, f.v)
+		}
+	}
 	switch {
 	case c.Robots <= 0:
 		return fmt.Errorf("scenario: robots = %d, need ≥ 1", c.Robots)
@@ -321,16 +321,13 @@ func (c Config) Validate() error {
 		c.Reliability.DispatchAckTimeoutS < 0:
 		return fmt.Errorf("scenario: reliability durations must be non-negative")
 	}
-	if _, err := sim.ParseKernel(c.Kernel); err != nil {
-		return fmt.Errorf("scenario: %w", err)
-	}
 	if b := c.Battery; b != nil {
 		switch {
-		case !(b.CapacityJ > 0) || math.IsInf(b.CapacityJ, 0):
-			return fmt.Errorf("scenario: battery capacity %v not a positive finite joule count", b.CapacityJ)
-		case b.RechargeW < 0 || math.IsNaN(b.RechargeW):
+		case b.CapacityJ <= 0:
+			return fmt.Errorf("scenario: battery capacity %v not positive", b.CapacityJ)
+		case b.RechargeW < 0:
 			return fmt.Errorf("scenario: recharge power %v negative", b.RechargeW)
-		case b.ReserveJ < 0 || math.IsNaN(b.ReserveJ):
+		case b.ReserveJ < 0:
 			return fmt.Errorf("scenario: battery reserve %v negative", b.ReserveJ)
 		case b.IdlePowerW < 0 || b.MotionBaseW < 0 || b.MotionPerSpeedW < 0:
 			return fmt.Errorf("scenario: battery power-model terms must be non-negative")
@@ -349,6 +346,54 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scenario: %w", err)
 	}
 	return nil
+}
+
+// floatField is one named float-valued config knob.
+type floatField struct {
+	name string
+	v    float64
+}
+
+// floatFields lists every float knob of the config, its reliability
+// settings and, when present, its battery. Validate screens them for NaN
+// and ±Inf first: NaN fails every comparison, so it would pass each range
+// check below.
+func (c Config) floatFields() []floatField {
+	r := c.Reliability
+	fs := []floatField{
+		{"AreaPerRobotSide", c.AreaPerRobotSide},
+		{"SensorRange", c.SensorRange},
+		{"RobotRange", c.RobotRange},
+		{"RobotSpeed", c.RobotSpeed},
+		{"UpdateThreshold", c.UpdateThreshold},
+		{"BeaconPeriod", c.BeaconPeriod},
+		{"MeanLifetime", c.MeanLifetime},
+		{"SimTime", c.SimTime},
+		{"ServiceTime", c.ServiceTime},
+		{"LossP", c.LossP},
+		{"LifetimeShape", c.LifetimeShape},
+		{"SensingRange", c.SensingRange},
+		{"CoverageSamplePeriod", c.CoverageSamplePeriod},
+		{"BitrateMbps", c.BitrateMbps},
+		{"RobotFailureTime", c.RobotFailureTime},
+		{"FacilityPeriodS", c.FacilityPeriodS},
+		{"Reliability.ReportRetryS", r.ReportRetryS},
+		{"Reliability.ReportRetryMaxS", r.ReportRetryMaxS},
+		{"Reliability.HeartbeatS", r.HeartbeatS},
+		{"Reliability.DispatchAckTimeoutS", r.DispatchAckTimeoutS},
+		{"Reliability.WatchGraceS", r.WatchGraceS},
+	}
+	if b := c.Battery; b != nil {
+		fs = append(fs,
+			floatField{"Battery.CapacityJ", b.CapacityJ},
+			floatField{"Battery.RechargeW", b.RechargeW},
+			floatField{"Battery.ReserveJ", b.ReserveJ},
+			floatField{"Battery.IdlePowerW", b.IdlePowerW},
+			floatField{"Battery.MotionBaseW", b.MotionBaseW},
+			floatField{"Battery.MotionPerSpeedW", b.MotionPerSpeedW},
+		)
+	}
+	return fs
 }
 
 // FieldSide returns the side of the (square) field in meters.

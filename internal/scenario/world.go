@@ -43,9 +43,6 @@ type World struct {
 	policy   node.Policy
 	strategy algorithm.Strategy
 
-	// counters, incremented by hooks (see below); trace records lifecycle
-	// events when enabled.
-
 	// counters, incremented by hooks
 	failuresInjected  int
 	reportsSent       int
@@ -99,11 +96,7 @@ func New(cfg Config) (*World, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	kernel, err := sim.ParseKernel(cfg.Kernel)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	sched := sim.NewSchedulerKernel(kernel)
+	sched := sim.NewScheduler()
 	reg := metrics.NewRegistry()
 	w := &World{
 		Cfg:            cfg,

@@ -1,7 +1,10 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"roborepair/internal/core"
@@ -85,6 +88,60 @@ func TestConfigValidate(t *testing.T) {
 				t.Fatal("New accepted invalid config")
 			}
 		})
+	}
+}
+
+// TestConfigValidateRejectsNonFinite sets each float field of Config and
+// of its reliability, battery, telemetry and recorder sub-configs to NaN
+// and to +Inf in turn. NaN passes every `x <= 0` range check, and a NaN
+// SimTime used to hang Run. The rows come from reflection, so a new float
+// knob is covered without a test edit.
+func TestConfigValidateRejectsNonFinite(t *testing.T) {
+	valid := func() Config {
+		cfg := DefaultConfig()
+		cfg.Battery = &BatteryConfig{CapacityJ: 1000}
+		return cfg
+	}
+	type row struct {
+		name  string
+		index []int
+	}
+	var rows []row
+	var walk func(prefix string, typ reflect.Type, index []int)
+	walk = func(prefix string, typ reflect.Type, index []int) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			idx := append(slices.Clone(index), i)
+			ft := f.Type
+			if ft == reflect.TypeOf(&BatteryConfig{}) {
+				ft = ft.Elem()
+			}
+			switch ft.Kind() {
+			case reflect.Float64:
+				rows = append(rows, row{prefix + f.Name, idx})
+			case reflect.Struct:
+				walk(prefix+f.Name+".", ft, idx)
+			}
+		}
+	}
+	walk("", reflect.TypeOf(Config{}), nil)
+	if len(rows) < 29 { // the fields as of writing; the walk must not lose any
+		t.Fatalf("found only %d float fields: %v", len(rows), rows)
+	}
+	cfg := valid()
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("base config invalid: %v", err)
+	}
+	for _, r := range rows {
+		for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+			t.Run(fmt.Sprintf("%s=%v", r.name, bad), func(t *testing.T) {
+				cfg := valid()
+				reflect.ValueOf(&cfg).Elem().FieldByIndex(r.index).SetFloat(bad)
+				if err := cfg.Validate(); err == nil {
+					t.Fatal("non-finite value accepted")
+				}
+			})
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -19,10 +20,12 @@ func (x *xorshift64) next() uint64 {
 }
 
 // kernelTrace is the observable outcome of a workload: which callbacks
-// fired, in what order, at what clock readings.
+// fired, in what order, at what clock readings, and the checkpoint state
+// after every bounded run.
 type kernelTrace struct {
 	labels []int
 	times  []Time
+	states []KernelState
 	fired  uint64
 	now    Time
 }
@@ -36,16 +39,17 @@ func (tr *kernelTrace) equal(o *kernelTrace) bool {
 			return false
 		}
 	}
-	return true
+	return reflect.DeepEqual(tr.states, o.states)
 }
 
 // runKernelWorkload drives one scheduler through a PRNG-derived mix of
 // schedules (including same-instant bursts), cancels, steps, bounded runs,
-// and ticker reschedule-on-fire, then drains it. The PRNG draw sequence is
-// independent of kernel behavior, so two kernels see the same operations
-// and any trace divergence is an ordering bug.
-func runKernelWorkload(kn Kernel, seed uint64, nops int) *kernelTrace {
-	s := NewSchedulerKernel(kn)
+// and ticker reschedule-on-fire, then drains it. A standing population of
+// events spread over the first 5000 s, scheduled up front, keeps the
+// ladder's rungs occupied while the mix pushes into them. The PRNG draw
+// sequence is independent of kernel behavior, so two kernels see the same
+// operations and any trace divergence is an ordering bug.
+func runKernelWorkload(s *Scheduler, seed uint64, standing, nops int) *kernelTrace {
 	rng := xorshift64(seed | 1)
 	tr := &kernelTrace{}
 	var handles []Event
@@ -57,6 +61,9 @@ func runKernelWorkload(kn Kernel, seed uint64, nops int) *kernelTrace {
 			tr.labels = append(tr.labels, l)
 			tr.times = append(tr.times, s.Now())
 		}))
+	}
+	for i := 0; i < standing; i++ {
+		schedule(Duration(rng.next()%40000) / 8)
 	}
 	for op := 0; op < nops; op++ {
 		switch r := rng.next() % 100; {
@@ -77,6 +84,7 @@ func runKernelWorkload(kn Kernel, seed uint64, nops int) *kernelTrace {
 			s.Step()
 		case r < 90:
 			s.Run(s.Now() + Duration(rng.next()%250))
+			tr.states = append(tr.states, s.SnapshotState())
 		default:
 			l := label
 			label++
@@ -98,13 +106,19 @@ func runKernelWorkload(kn Kernel, seed uint64, nops int) *kernelTrace {
 	return tr
 }
 
-// TestKernelDifferential locks the ladder to the heap: over randomized
-// workloads both kernels must fire the exact same callbacks at the exact
-// same clock readings in the exact same order.
+// TestKernelDifferential locks the ladder to the reference heap: over
+// randomized workloads both kernels must fire the exact same callbacks at
+// the exact same clock readings in the exact same order, and report the
+// same checkpoint state. Every fifth seed also carries a standing
+// population deep enough to spawn rungs.
 func TestKernelDifferential(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
-		heapTr := runKernelWorkload(KernelHeap, seed, 400)
-		ladTr := runKernelWorkload(KernelLadder, seed, 400)
+		standing := 0
+		if seed%5 == 0 {
+			standing = 2000
+		}
+		heapTr := runKernelWorkload(newHeapScheduler(), seed, standing, 400)
+		ladTr := runKernelWorkload(NewScheduler(), seed, standing, 400)
 		if !heapTr.equal(ladTr) {
 			i := 0
 			for i < len(heapTr.labels) && i < len(ladTr.labels) &&
@@ -119,8 +133,7 @@ func TestKernelDifferential(t *testing.T) {
 
 // applyKernelOps drives a scheduler with an op stream decoded from raw
 // bytes — the fuzz-facing twin of runKernelWorkload.
-func applyKernelOps(kn Kernel, data []byte) *kernelTrace {
-	s := NewSchedulerKernel(kn)
+func applyKernelOps(s *Scheduler, data []byte) *kernelTrace {
 	tr := &kernelTrace{}
 	var handles []Event
 	label := 0
@@ -151,6 +164,7 @@ func applyKernelOps(kn Kernel, data []byte) *kernelTrace {
 			s.Step()
 		case 6:
 			s.Run(s.Now() + Duration(arg))
+			tr.states = append(tr.states, s.SnapshotState())
 		case 7:
 			l := label
 			label++
@@ -172,8 +186,8 @@ func applyKernelOps(kn Kernel, data []byte) *kernelTrace {
 	return tr
 }
 
-// FuzzKernelOps feeds arbitrary op streams to both kernels and requires
-// identical traces. `go test -fuzz=FuzzKernelOps ./internal/sim` explores;
+// FuzzKernelOps feeds arbitrary op streams to the ladder and the reference
+// heap and requires identical traces. `go test -fuzz=FuzzKernelOps ./internal/sim` explores;
 // the corpus below seeds the interesting shapes.
 func FuzzKernelOps(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 10, 5, 0, 4, 0, 2, 7, 6, 50})
@@ -183,8 +197,8 @@ func FuzzKernelOps(f *testing.F) {
 		if len(data) > 1024 {
 			data = data[:1024]
 		}
-		heapTr := applyKernelOps(KernelHeap, data)
-		ladTr := applyKernelOps(KernelLadder, data)
+		heapTr := applyKernelOps(newHeapScheduler(), data)
+		ladTr := applyKernelOps(NewScheduler(), data)
 		if !heapTr.equal(ladTr) {
 			t.Fatalf("kernels diverge: heap fired %d (now %v), ladder fired %d (now %v)",
 				heapTr.fired, heapTr.now, ladTr.fired, ladTr.now)
@@ -251,33 +265,11 @@ func TestLadderCancelHeavy(t *testing.T) {
 	}
 }
 
-// TestKernelParse round-trips the kernel names.
-func TestKernelParse(t *testing.T) {
-	for _, tt := range []struct {
-		in   string
-		want Kernel
-		ok   bool
-	}{
-		{"", KernelLadder, true},
-		{"ladder", KernelLadder, true},
-		{"heap", KernelHeap, true},
-		{"splay", KernelLadder, false},
-	} {
-		got, err := ParseKernel(tt.in)
-		if (err == nil) != tt.ok || got != tt.want {
-			t.Fatalf("ParseKernel(%q) = %v, %v", tt.in, got, err)
-		}
-	}
-	if KernelLadder.String() != "ladder" || KernelHeap.String() != "heap" {
-		t.Fatal("Kernel.String names wrong")
-	}
-}
-
-// benchSchedulerHotLoop measures the steady-state schedule-one/fire-one
+// BenchmarkSchedulerHotLoop measures the steady-state schedule-one/fire-one
 // cycle against a deep standing population — the regime a large field puts
 // the kernel in (every sensor holds a pending beacon timer).
-func benchSchedulerHotLoop(b *testing.B, kn Kernel) {
-	s := NewSchedulerKernel(kn)
+func BenchmarkSchedulerHotLoop(b *testing.B) {
+	s := NewScheduler()
 	rng := xorshift64(12345)
 	fn := func() {}
 	const standing = 1 << 16
@@ -291,6 +283,3 @@ func benchSchedulerHotLoop(b *testing.B, kn Kernel) {
 		s.Step()
 	}
 }
-
-func BenchmarkSchedulerHotLoop(b *testing.B)     { benchSchedulerHotLoop(b, KernelLadder) }
-func BenchmarkSchedulerHotLoopHeap(b *testing.B) { benchSchedulerHotLoop(b, KernelHeap) }

@@ -6,15 +6,13 @@
 // reproducible. All simulated subsystems (radio medium, sensor beaconing,
 // robot motion, coordination algorithms) are driven from a single Scheduler.
 //
-// Two interchangeable queue kernels implement the same (at, seq) total
-// order: the default ladder queue (amortized O(1) per operation, built for
-// million-node fields) and the legacy binary heap (kept for differential
-// testing). Because the order is a strict total order — seq is unique per
-// event — every run is bit-identical under either kernel.
+// The queue is a ladder queue (amortized O(1) per operation, built for
+// million-node fields; see ladder.go) ordered by the strict (at, seq) total
+// order — seq is unique per event. The tests hold it fire for fire against
+// a binary heap reference implementation.
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -64,15 +62,15 @@ type event struct {
 	at    Time
 	seq   uint64
 	gen   uint32
-	index int // heap index, -1 when not queued (ladder events use 0)
+	index int // non-negative while queued, -1 once popped or cancelled
 	freed bool
 	dead  bool // lazily cancelled, awaiting physical removal (ladder)
 	fn    func()
 }
 
 // Audit receives the kernel's self-checks. Install one with SetAudit and
-// the scheduler verifies its own bookkeeping at every dispatch, release,
-// and cancellation, reporting breaches through Violation; without one the
+// the scheduler verifies its own bookkeeping at every dispatch and
+// release, reporting breaches through Violation; without one the
 // checks reduce to a nil test. The law names match the catalogue in the
 // invariant package ("sim/clock-monotone", "sim/free-list",
 // "sim/queue-integrity").
@@ -110,11 +108,11 @@ func (ev Event) Scheduled() bool {
 	return ev.e != nil && ev.gen == ev.e.gen && ev.e.index >= 0
 }
 
-// kernel is the pluggable priority-queue core behind a Scheduler. Both
-// implementations honor the same strict (at, seq) total order, so the fire
-// sequence — and therefore the whole simulation — is identical under
-// either. pop and peek return nil when no live event remains; cancel owns
-// the full cancellation bookkeeping for its representation.
+// kernel is the priority-queue core behind a Scheduler: the ladder queue
+// in production, a binary heap in the differential tests. An
+// implementation must honor the strict (at, seq) total order. pop and peek
+// return nil when no live event remains; cancel owns the full cancellation
+// bookkeeping for its representation.
 type kernel interface {
 	push(*event)
 	pop() *event
@@ -124,40 +122,6 @@ type kernel interface {
 	// each visits every live pending event in unspecified order without
 	// perturbing the queue (checkpoint surface; see snapshot.go).
 	each(func(*event))
-}
-
-// Kernel selects a Scheduler's priority-queue implementation.
-type Kernel int
-
-const (
-	// KernelLadder is the default ladder queue: time-bucketed rungs with a
-	// sorted bottom run, amortized O(1) per operation.
-	KernelLadder Kernel = iota
-	// KernelHeap is the legacy container/heap binary heap, O(log n) per
-	// operation. Kept for differential testing against the ladder.
-	KernelHeap
-)
-
-// String names the kernel ("ladder" or "heap").
-func (k Kernel) String() string {
-	switch k {
-	case KernelHeap:
-		return "heap"
-	default:
-		return "ladder"
-	}
-}
-
-// ParseKernel converts "ladder" or "heap" (or "", meaning the default)
-// into a Kernel.
-func ParseKernel(s string) (Kernel, error) {
-	switch s {
-	case "", "ladder":
-		return KernelLadder, nil
-	case "heap":
-		return KernelHeap, nil
-	}
-	return KernelLadder, fmt.Errorf("sim: unknown kernel %q (want ladder or heap)", s)
 }
 
 // cmpEvent orders events by the kernel's strict (at, seq) total order.
@@ -175,98 +139,6 @@ func cmpEvent(a, b *event) int {
 		return 1
 	}
 	return 0
-}
-
-// eventQueue is a min-heap ordered by (at, seq). The back-reference to the
-// scheduler lets Push report a corrupted insert through the audit instead
-// of silently dropping it.
-type eventQueue struct {
-	s   *Scheduler
-	evs []*event
-}
-
-func (q *eventQueue) Len() int { return len(q.evs) }
-
-func (q *eventQueue) Less(i, j int) bool {
-	a, b := q.evs[i], q.evs[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (q *eventQueue) Swap(i, j int) {
-	q.evs[i], q.evs[j] = q.evs[j], q.evs[i]
-	q.evs[i].index = i
-	q.evs[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	ev, ok := x.(*event)
-	if !ok {
-		if q.s != nil && q.s.audit != nil {
-			q.s.audit.Violation("sim/queue-integrity", q.s.now, fmt.Sprintf(
-				"heap push of foreign value %T", x))
-		}
-		return
-	}
-	ev.index = len(q.evs)
-	q.evs = append(q.evs, ev)
-}
-
-func (q *eventQueue) Pop() any {
-	old := q.evs
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	q.evs = old[:n-1]
-	return ev
-}
-
-// heapKernel adapts the legacy binary heap to the kernel interface.
-type heapKernel struct {
-	s *Scheduler
-	q eventQueue
-}
-
-func (k *heapKernel) len() int { return len(k.q.evs) }
-
-func (k *heapKernel) push(ev *event) { heap.Push(&k.q, ev) }
-
-func (k *heapKernel) peek() *event {
-	if len(k.q.evs) == 0 {
-		return nil
-	}
-	return k.q.evs[0]
-}
-
-func (k *heapKernel) pop() *event {
-	if len(k.q.evs) == 0 {
-		return nil
-	}
-	ev, ok := heap.Pop(&k.q).(*event)
-	if !ok {
-		if k.s.audit != nil {
-			k.s.audit.Violation("sim/queue-integrity", k.s.now, fmt.Sprintf(
-				"heap pop yielded a foreign value %T", ev))
-		}
-		return nil
-	}
-	return ev
-}
-
-func (k *heapKernel) cancel(ev *event) bool {
-	s := k.s
-	if s.audit != nil && (ev.index >= len(k.q.evs) || k.q.evs[ev.index] != ev) {
-		s.audit.Violation("sim/queue-integrity", s.now, fmt.Sprintf(
-			"cancel of event seq=%d: heap index %d does not point back at the event",
-			ev.seq, ev.index))
-		return false
-	}
-	heap.Remove(&k.q, ev.index)
-	s.release(ev)
-	return true
 }
 
 // Scheduler owns the virtual clock and the pending event queue.
@@ -311,25 +183,10 @@ func (s *Scheduler) release(ev *event) {
 	s.free = append(s.free, ev)
 }
 
-// NewScheduler returns a scheduler with the clock at TimeZero, running the
-// default (ladder) kernel.
+// NewScheduler returns a scheduler with the clock at TimeZero.
 func NewScheduler() *Scheduler {
-	return NewSchedulerKernel(KernelLadder)
-}
-
-// NewSchedulerKernel returns a scheduler driven by the chosen queue
-// kernel. Runs are bit-identical across kernels; KernelHeap exists for
-// differential testing and as an escape hatch.
-func NewSchedulerKernel(k Kernel) *Scheduler {
 	s := &Scheduler{}
-	switch k {
-	case KernelHeap:
-		hk := &heapKernel{s: s}
-		hk.q.s = s
-		s.k = hk
-	default:
-		s.k = newLadderQueue(s)
-	}
+	s.k = newLadderQueue(s)
 	return s
 }
 
@@ -347,9 +204,10 @@ func (s *Scheduler) Fired() uint64 { return s.fired }
 // gauge.
 func (s *Scheduler) HighWater() int { return s.highWater }
 
-// At schedules fn to run at the absolute virtual time at.
+// At schedules fn to run at the absolute virtual time at. A time before
+// the clock, or NaN, fails with ErrTimeInPast.
 func (s *Scheduler) At(at Time, fn func()) (Event, error) {
-	if at < s.now {
+	if !(at >= s.now) { // also rejects NaN, which no queue could order
 		return Event{}, fmt.Errorf("%w: at=%v now=%v", ErrTimeInPast, at, s.now)
 	}
 	ev := s.alloc()
@@ -363,14 +221,15 @@ func (s *Scheduler) At(at Time, fn func()) (Event, error) {
 }
 
 // After schedules fn to run d seconds from now. A non-positive delay fires
-// at the current instant, after all callbacks already queued for it.
+// at the current instant, after all callbacks already queued for it. A NaN
+// delay panics.
 func (s *Scheduler) After(d Duration, fn func()) Event {
 	if d < 0 {
 		d = 0
 	}
 	ev, err := s.At(s.now.Add(d), fn)
 	if err != nil {
-		// Unreachable: now+d >= now for d >= 0.
+		// Only a NaN d gets here: now+d >= now for every other d >= 0.
 		panic(err)
 	}
 	return ev
@@ -460,10 +319,13 @@ type Ticker struct {
 }
 
 // NewTicker schedules fn every period seconds, first firing at now+offset.
-// Period must be positive.
+// Period must be positive and finite, offset not NaN.
 func (s *Scheduler) NewTicker(offset, period Duration, fn func()) (*Ticker, error) {
-	if period <= 0 {
-		return nil, fmt.Errorf("sim: ticker period %v not positive", period)
+	if !(period > 0) || math.IsInf(float64(period), 1) {
+		return nil, fmt.Errorf("sim: ticker period %v not positive and finite", period)
+	}
+	if math.IsNaN(float64(offset)) {
+		return nil, fmt.Errorf("sim: ticker offset %v not a number", offset)
 	}
 	t := &Ticker{s: s, period: period, fn: fn}
 	t.fire = t.tick

@@ -94,6 +94,24 @@ func TestSchedulerAtRejectsPast(t *testing.T) {
 	if _, err := s.At(5, func() {}); !errors.Is(err, ErrTimeInPast) {
 		t.Fatalf("At(past) error = %v, want ErrTimeInPast", err)
 	}
+	// NaN compares false against the clock and every bucket bound, so a
+	// queued NaN event would never fire.
+	if _, err := s.At(Time(math.NaN()), func() {}); !errors.Is(err, ErrTimeInPast) {
+		t.Fatalf("At(NaN) error = %v, want ErrTimeInPast", err)
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("Pending() = %d after refused At calls", s.Pending())
+	}
+}
+
+func TestSchedulerAfterNaNPanics(t *testing.T) {
+	s := NewScheduler()
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("After(NaN) did not panic")
+		}
+	}()
+	s.After(Duration(math.NaN()), func() {})
 }
 
 func TestSchedulerAfterNegativeDelayFiresNow(t *testing.T) {
@@ -300,13 +318,23 @@ func TestTickerStopPreventsFutureTicks(t *testing.T) {
 	}
 }
 
+// TestTickerRejectsNonPositivePeriod also covers non-finite periods and a
+// NaN offset.
 func TestTickerRejectsNonPositivePeriod(t *testing.T) {
 	s := NewScheduler()
-	if _, err := s.NewTicker(0, 0, func() {}); err == nil {
-		t.Fatal("NewTicker(period=0) should fail")
+	for _, tt := range []struct{ offset, period Duration }{
+		{0, 0},
+		{0, -1},
+		{0, Duration(math.NaN())},
+		{0, TimeInf},
+		{Duration(math.NaN()), 10},
+	} {
+		if _, err := s.NewTicker(tt.offset, tt.period, func() {}); err == nil {
+			t.Errorf("NewTicker(offset=%v, period=%v) should fail", tt.offset, tt.period)
+		}
 	}
-	if _, err := s.NewTicker(0, -1, func() {}); err == nil {
-		t.Fatal("NewTicker(period=-1) should fail")
+	if s.Pending() != 0 {
+		t.Fatalf("Pending() = %d after refused tickers", s.Pending())
 	}
 }
 

@@ -19,8 +19,7 @@ type EventStamp struct {
 
 // KernelState is the scheduler's complete serializable state: clock,
 // counters, and the (at, seq) stamp of every live pending event in total
-// order. Both queue kernels produce identical KernelStates for the same
-// run — the ladder/heap differential locks that.
+// order.
 type KernelState struct {
 	Now       Time
 	Seq       uint64
@@ -58,14 +57,6 @@ func (s *Scheduler) SnapshotState() KernelState {
 		return 0
 	})
 	return st
-}
-
-// each visits every live pending event in unspecified order.
-func (k *heapKernel) each(fn func(*event)) {
-	// The heap removes cancelled events eagerly: everything stored is live.
-	for _, ev := range k.q.evs {
-		fn(ev)
-	}
 }
 
 // each visits every live pending event in unspecified order, skipping

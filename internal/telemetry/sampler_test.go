@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -84,8 +85,10 @@ func TestConfigDefaultsAndValidate(t *testing.T) {
 	if d.SamplePeriodS != 250 || d.RingCapacity != 4096 {
 		t.Fatalf("defaults = %+v", d)
 	}
-	if err := (Config{SamplePeriodS: -1}).Validate(); err == nil {
-		t.Fatal("negative period validated")
+	for _, p := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if err := (Config{SamplePeriodS: p}).Validate(); err == nil {
+			t.Fatalf("sample period %v validated", p)
+		}
 	}
 	if err := (Config{RingCapacity: -1}).Validate(); err == nil {
 		t.Fatal("negative capacity validated")

@@ -14,6 +14,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 
 	"roborepair/internal/sim"
 )
@@ -48,8 +49,8 @@ func (c Config) WithDefaults() Config {
 
 // Validate reports the first invalid field.
 func (c Config) Validate() error {
-	if c.SamplePeriodS < 0 {
-		return fmt.Errorf("telemetry: sample period %v negative", c.SamplePeriodS)
+	if math.IsNaN(c.SamplePeriodS) || math.IsInf(c.SamplePeriodS, 0) || c.SamplePeriodS < 0 {
+		return fmt.Errorf("telemetry: sample period %v not a finite non-negative value", c.SamplePeriodS)
 	}
 	if c.RingCapacity < 0 {
 		return fmt.Errorf("telemetry: ring capacity %d negative", c.RingCapacity)
