@@ -8,10 +8,14 @@ import (
 // FrameCorrupter implements radio.Corrupter from the plan's corruption
 // windows: inside a window each reception's bytes are mutated with the
 // window's probability, drawing every decision from the corrupter's own
-// seeded stream. It also keeps a small capture ring of recently seen
-// encodings for the replay mode. Buffers handed to Corrupt are never
-// modified in place — mutations copy first — so the ring can hold
-// references (the medium encodes each transmission into a fresh buffer).
+// seeded stream. It also keeps a capture ring of the buffers handed to
+// its last 8 Corrupt calls for the replay mode. Corrupt runs once per
+// reception, not per transmission, so a broadcast heard by ~10 stations
+// fills most of the ring with its own buffer: a replay almost always
+// re-delivers the transmission being received or the one just before it.
+// Buffers handed to Corrupt are never modified in place — mutations copy
+// first — so the ring can hold references (the medium encodes each
+// transmission into a fresh buffer).
 type FrameCorrupter struct {
 	entries []Corruption
 	now     func() sim.Time

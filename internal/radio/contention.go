@@ -104,9 +104,9 @@ const csmaMaxDefers = 16
 // carrier sensing with random backoff, then the frame occupies the air for
 // its airtime; receivers decode it only if nothing else they can hear
 // overlaps (hidden terminals still collide, as in real 802.11).
-func (m *Medium) sendContended(f Frame, enc []byte, pos sendSnapshot) {
+func (m *Medium) sendContended(f Frame, tx *encoded, pos sendSnapshot) {
 	m.frameSeq++
-	m.tryTransmit(f, enc, pos, m.frameSeq, 0)
+	m.tryTransmit(f, tx, pos, m.frameSeq, 0)
 }
 
 func (m *Medium) backoff() sim.Duration {
@@ -116,13 +116,13 @@ func (m *Medium) backoff() sim.Duration {
 	return sim.Duration(m.cfg.Contention.Rand.Float64()) * m.cfg.Contention.MaxBackoff
 }
 
-func (m *Medium) tryTransmit(f Frame, enc []byte, pos sendSnapshot, frameID uint64, defers int) {
+func (m *Medium) tryTransmit(f Frame, tx *encoded, pos sendSnapshot, frameID uint64, defers int) {
 	m.sched.After(m.backoff(), func() {
 		now := m.sched.Now()
 		// Carrier sense: defer while the channel is busy at the sender.
 		if until, busy := m.air.busyUntil(f.Src, now); busy && defers < csmaMaxDefers {
 			m.sched.After(until.Sub(now), func() {
-				m.tryTransmit(f, enc, pos, frameID, defers+1)
+				m.tryTransmit(f, tx, pos, frameID, defers+1)
 			})
 			return
 		}
@@ -139,12 +139,12 @@ func (m *Medium) tryTransmit(f Frame, enc []byte, pos sendSnapshot, frameID uint
 		// sensing by its later frames).
 		m.air.mark(f.Src, reception{frame: frameID, start: start, end: end})
 		m.sched.After(m.cfg.Contention.Airtime, func() {
-			m.deliverContended(f, enc, frameID, start, end, pos)
+			m.deliverContended(f, tx, frameID, start, end, pos)
 		})
 	})
 }
 
-func (m *Medium) deliverContended(f Frame, enc []byte, frameID uint64, start, end sim.Time, pos sendSnapshot) {
+func (m *Medium) deliverContended(f Frame, tx *encoded, frameID uint64, start, end sim.Time, pos sendSnapshot) {
 	if m.silenced(pos.pos) {
 		m.reg.CountTx(CatBlackout, 1)
 		return
@@ -160,7 +160,7 @@ func (m *Medium) deliverContended(f Frame, enc []byte, frameID uint64, start, en
 		if m.lost(f, n.id) {
 			return
 		}
-		m.handoff(f, enc, pos.pos, pos.rng, n.st)
+		m.handoff(f, tx, pos.pos, pos.rng, n.st)
 	}
 	if f.Dst != IDBroadcast {
 		dst := m.station(f.Dst)

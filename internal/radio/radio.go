@@ -92,9 +92,12 @@ type Auditor interface {
 
 // Channel serializes frames at the medium boundary (hostile-channel
 // extension). When installed, every accepted Send is encoded once and
-// each reception is decoded independently, so injected byte corruption
-// meets the same defensive decoding a real radio would need. Encode must
-// return a fresh buffer each call; delivered buffers are never mutated.
+// decoded once per distinct received buffer: clean receptions share one
+// decoded frame, while every buffer the Corrupter substitutes (a mutated
+// copy or a replay of another transmission) meets the same defensive
+// decoding a real radio would need. Decode must be a pure function of its
+// bytes. Encode must return a fresh buffer each call; delivered buffers
+// are never mutated.
 type Channel interface {
 	Encode(f Frame) ([]byte, error)
 	Decode(b []byte) (Frame, error)
@@ -184,8 +187,9 @@ type Config struct {
 	Outage OutageModel
 	// Contention optionally enables the MAC collision model.
 	Contention ContentionConfig
-	// Channel, when non-nil, serializes every frame on Send and decodes it
-	// per reception (hostile-channel extension). Nil keeps the frames as
+	// Channel, when non-nil, serializes every frame on Send and decodes
+	// it once per distinct received buffer; clean receptions share one
+	// decoded frame (hostile-channel extension). Nil keeps the frames as
 	// Go values, byte-for-byte reproducing the codec-free medium.
 	Channel Channel
 	// Corrupter, when non-nil, mutates in-flight bytes between Encode and
@@ -619,7 +623,7 @@ func (m *Medium) Send(f Frame) {
 	}
 	// With a channel installed the frame is serialized exactly once per
 	// transmission, into a fresh buffer (replay capture keeps references).
-	var enc []byte
+	var tx *encoded
 	if m.cfg.Channel != nil {
 		b, err := m.cfg.Channel.Encode(f)
 		if err != nil {
@@ -627,18 +631,43 @@ func (m *Medium) Send(f Frame) {
 			// a programming error, not a channel condition.
 			panic(fmt.Sprintf("radio: unencodable %s frame: %v", f.Category, err))
 		}
-		enc = b
+		tx = &encoded{b: b}
 	}
 	pos, rng := m.posOf(f.Src), src.RadioRange()
 	if m.cfg.Contention.Enabled() {
-		m.sendContended(f, enc, sendSnapshot{pos: pos, rng: rng})
+		m.sendContended(f, tx, sendSnapshot{pos: pos, rng: rng})
 		return
 	}
 	if m.cfg.Latency <= 0 {
-		m.deliver(f, enc, pos, rng)
+		m.deliver(f, tx, pos, rng)
 		return
 	}
-	m.sched.After(m.cfg.Latency, func() { m.deliver(f, enc, pos, rng) })
+	m.sched.After(m.cfg.Latency, func() { m.deliver(f, tx, pos, rng) })
+}
+
+// encoded is one transmission under a Channel: the sender's encoding and
+// its decode, made by the first reception that hears the buffer unchanged
+// and shared by every later one.
+type encoded struct {
+	b       []byte
+	decoded bool
+	f       Frame
+	err     error
+}
+
+// decode returns the decoding of b, reusing the transmission's shared
+// decode when b is the sender's own buffer (same backing array and
+// length). Any other buffer — a mutated copy, a truncation, a replay of
+// another transmission — is decoded on its own.
+func (tx *encoded) decode(c Channel, b []byte) (Frame, error) {
+	if len(b) != len(tx.b) || len(b) == 0 || &b[0] != &tx.b[0] {
+		return c.Decode(b)
+	}
+	if !tx.decoded {
+		tx.f, tx.err = c.Decode(tx.b)
+		tx.decoded = true
+	}
+	return tx.f, tx.err
 }
 
 // CatBlackout is the metrics category counting transmissions swallowed
@@ -664,7 +693,7 @@ func (m *Medium) silenced(p geom.Point) bool {
 	return m.cfg.Outage != nil && m.cfg.Outage.Silenced(p)
 }
 
-func (m *Medium) deliver(f Frame, enc []byte, from geom.Point, rng float64) {
+func (m *Medium) deliver(f Frame, tx *encoded, from geom.Point, rng float64) {
 	if m.silenced(from) {
 		m.reg.CountTx(CatBlackout, 1)
 		return
@@ -684,7 +713,7 @@ func (m *Medium) deliver(f Frame, enc []byte, from geom.Point, rng float64) {
 		if m.lost(f, f.Dst) {
 			return
 		}
-		m.handoff(f, enc, from, rng, dst)
+		m.handoff(f, tx, from, rng, dst)
 		return
 	}
 	buf := m.neighbors(from, rng, f.Src)
@@ -696,7 +725,7 @@ func (m *Medium) deliver(f Frame, enc []byte, from geom.Point, rng float64) {
 		if m.lost(f, n.id) {
 			continue
 		}
-		m.handoff(f, enc, from, rng, n.st)
+		m.handoff(f, tx, from, rng, n.st)
 	}
 	m.release(buf)
 }
@@ -712,23 +741,24 @@ const (
 
 // handoff passes one reception to a station. With no channel installed it
 // reduces to the audit hook plus HandleFrame; otherwise the reception is
-// independently corrupted and defensively decoded first.
-func (m *Medium) handoff(f Frame, enc []byte, from geom.Point, rng float64, dst Station) {
-	if enc == nil {
+// independently corrupted and defensively decoded first (see
+// encoded.decode for which receptions share a decode).
+func (m *Medium) handoff(f Frame, tx *encoded, from geom.Point, rng float64, dst Station) {
+	if tx == nil {
 		if m.audit != nil {
 			m.audit.FrameDelivered(f, from, rng, dst)
 		}
 		dst.HandleFrame(f)
 		return
 	}
-	b, corrupted, dup := enc, false, false
+	b, corrupted, dup := tx.b, false, false
 	if m.cfg.Corrupter != nil {
-		b, corrupted, dup = m.cfg.Corrupter.Corrupt(enc)
+		b, corrupted, dup = m.cfg.Corrupter.Corrupt(tx.b)
 	}
 	if corrupted || dup {
 		m.reg.CountTx(CatCorruptFrame, 1)
 	}
-	g, err := m.cfg.Channel.Decode(b)
+	g, err := tx.decode(m.cfg.Channel, b)
 	if err != nil {
 		// Checksum or structure failure: drop, count, never act on it.
 		m.reg.CountTx(CatMalformed, 1)

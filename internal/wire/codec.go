@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"roborepair/internal/geom"
+	"roborepair/internal/metrics"
 	"roborepair/internal/netstack"
 	"roborepair/internal/radio"
 	"roborepair/internal/sim"
@@ -58,6 +59,11 @@ const (
 	sizeRepairRequest    = 1 + 8 + 16 + 8 + 8 + 16
 	sizeRobotUpdate      = 1 + 8 + 16 + 8 + 8 + 1
 	sizeRelocate         = 1 + 8 + 16 + 8
+
+	// The envelopes' fixed parts; the category, the ID list and the
+	// nested body add their own lengths.
+	sizePacket   = 1 + 8 + 8 + 16 + 2 + 8 + 8 + 8 + 16 + 16
+	sizeFloodMsg = 1 + 8 + 8 + 2 + 8 + 8
 )
 
 // enc is an append-only little-endian writer. Oversized variable-length
@@ -110,19 +116,38 @@ func (e *enc) ids(v []radio.NodeID) {
 }
 
 // nested writes a length-prefixed inner message body; nil encodes as
-// length 0 (a real body is never empty, so the form is unambiguous).
+// length 0 (a real body is never empty, so the form is unambiguous). The
+// body is written in place after a placeholder length that is patched
+// once its size is known, so a nested envelope costs no buffer of its own.
 func (e *enc) nested(payload any) {
 	if payload == nil {
 		e.u16(0)
 		return
 	}
-	b, err := Encode(payload)
-	if err != nil {
-		e.err = err
-		return
+	at := len(e.b)
+	e.b = append(e.b, 0, 0)
+	e.body(payload)
+	n := len(e.b) - at - 2
+	if n > math.MaxUint16 {
+		e.err = fmt.Errorf("wire: length %d outside uint16", n)
 	}
-	e.u16(len(b))
-	e.b = append(e.b, b...)
+	binary.LittleEndian.PutUint16(e.b[at:], uint16(n))
+}
+
+// nestedSize is the encoded size of a nested body, length prefix included.
+func nestedSize(payload any) int {
+	if payload == nil {
+		return 2
+	}
+	return 2 + bodySize(payload)
+}
+
+// idsSize is the encoded size of a NodeID list, presence flag included.
+func idsSize(v []radio.NodeID) int {
+	if v == nil {
+		return 1
+	}
+	return 1 + 2 + 8*len(v)
 }
 
 // dec is a consuming little-endian reader; short reads poison it.
@@ -178,9 +203,22 @@ func (d *dec) str() string {
 		d.bad = true
 		return ""
 	}
-	s := string(d.b[:n])
+	raw := d.b[:n]
 	d.b = d.b[n:]
-	return s
+	for _, s := range knownStrings {
+		if string(raw) == s {
+			return s
+		}
+	}
+	return string(raw)
+}
+
+// knownStrings are the traffic categories every frame and envelope
+// carries; decoding one returns the constant instead of a fresh copy.
+var knownStrings = [...]string{
+	metrics.CatInit, metrics.CatBeacon, metrics.CatFailureReport,
+	metrics.CatRepairRequest, metrics.CatLocUpdate, metrics.CatReplacement,
+	metrics.CatReportRetx, metrics.CatAck, metrics.CatTakeover, metrics.CatRelocate,
 }
 
 func (d *dec) ids() []radio.NodeID {
@@ -221,26 +259,31 @@ func (d *dec) nested() any {
 // Encode renders one wire message body into its binary layout. It returns
 // an error for values that are not wire message types.
 func Encode(msg any) ([]byte, error) {
-	var e enc
+	e := enc{b: make([]byte, 0, bodySize(msg))}
+	e.body(msg)
+	if e.err != nil {
+		return nil, e.err
+	}
+	return e.b, nil
+}
+
+// body appends one message body — tag byte, then fields — to e.b.
+func (e *enc) body(msg any) {
 	switch m := msg.(type) {
 	case Beacon:
-		e.b = make([]byte, 0, sizeBeacon)
 		e.b = append(e.b, tagBeacon)
 		e.id(m.From)
 		e.pt(m.Loc)
 	case LocationAnnounce:
-		e.b = make([]byte, 0, sizeLocationAnnounce)
 		e.b = append(e.b, tagLocationAnnounce)
 		e.id(m.From)
 		e.pt(m.Loc)
 		e.bool(m.Replacement)
 	case GuardianConfirm:
-		e.b = make([]byte, 0, sizeGuardianConfirm)
 		e.b = append(e.b, tagGuardianConfirm)
 		e.id(m.From)
 		e.pt(m.Loc)
 	case FailureReport:
-		e.b = make([]byte, 0, sizeFailureReport)
 		e.b = append(e.b, tagFailureReport)
 		e.id(m.Failed)
 		e.pt(m.Loc)
@@ -249,33 +292,27 @@ func Encode(msg any) ([]byte, error) {
 		e.u64(m.Seq)
 		e.pt(m.ReporterLoc)
 	case ReportAck:
-		e.b = make([]byte, 0, sizeReportAck)
 		e.b = append(e.b, tagReportAck)
 		e.id(m.Reporter)
 		e.id(m.Failed)
 		e.u64(m.Seq)
 	case HeartbeatAck:
-		e.b = make([]byte, 0, sizeHeartbeatAck)
 		e.b = append(e.b, tagHeartbeatAck)
 		e.id(m.Manager)
 		e.u64(m.Seq)
 	case DispatchAck:
-		e.b = make([]byte, 0, sizeDispatchAck)
 		e.b = append(e.b, tagDispatchAck)
 		e.id(m.Robot)
 		e.id(m.Failed)
 	case RepairDone:
-		e.b = make([]byte, 0, sizeRepairDone)
 		e.b = append(e.b, tagRepairDone)
 		e.id(m.Robot)
 		e.id(m.Failed)
 	case ManagerTakeover:
-		e.b = make([]byte, 0, sizeManagerTakeover)
 		e.b = append(e.b, tagManagerTakeover)
 		e.id(m.Manager)
 		e.pt(m.Loc)
 	case RepairRequest:
-		e.b = make([]byte, 0, sizeRepairRequest)
 		e.b = append(e.b, tagRepairRequest)
 		e.id(m.Failed)
 		e.pt(m.Loc)
@@ -283,7 +320,6 @@ func Encode(msg any) ([]byte, error) {
 		e.id(m.Manager)
 		e.pt(m.ManagerLoc)
 	case RobotUpdate:
-		e.b = make([]byte, 0, sizeRobotUpdate)
 		e.b = append(e.b, tagRobotUpdate)
 		e.id(m.Robot)
 		e.pt(m.Loc)
@@ -291,13 +327,11 @@ func Encode(msg any) ([]byte, error) {
 		e.i(m.Load)
 		e.bool(m.Managing)
 	case Relocate:
-		e.b = make([]byte, 0, sizeRelocate)
 		e.b = append(e.b, tagRelocate)
 		e.id(m.Robot)
 		e.pt(m.Dest)
 		e.u64(m.Seq)
 	case netstack.Packet:
-		e.b = make([]byte, 0, 128)
 		e.b = append(e.b, tagPacket)
 		e.id(m.Src)
 		e.id(m.Dst)
@@ -311,7 +345,6 @@ func Encode(msg any) ([]byte, error) {
 		e.ids(m.Path)
 		e.nested(m.Payload)
 	case netstack.FloodMsg:
-		e.b = make([]byte, 0, 96)
 		e.b = append(e.b, tagFloodMsg)
 		e.id(m.Origin)
 		e.u64(m.Seq)
@@ -321,12 +354,44 @@ func Encode(msg any) ([]byte, error) {
 		e.ids(m.Relays)
 		e.nested(m.Payload)
 	default:
-		return nil, fmt.Errorf("wire: cannot encode %T", msg)
+		e.err = fmt.Errorf("wire: cannot encode %T", msg)
 	}
-	if e.err != nil {
-		return nil, e.err
+}
+
+// bodySize is the encoded size of one message body, so Encode and
+// FrameCodec.Encode allocate their buffer once; 0 for non-wire values.
+func bodySize(msg any) int {
+	switch m := msg.(type) {
+	case Beacon:
+		return sizeBeacon
+	case LocationAnnounce:
+		return sizeLocationAnnounce
+	case GuardianConfirm:
+		return sizeGuardianConfirm
+	case FailureReport:
+		return sizeFailureReport
+	case ReportAck:
+		return sizeReportAck
+	case HeartbeatAck:
+		return sizeHeartbeatAck
+	case DispatchAck:
+		return sizeDispatchAck
+	case RepairDone:
+		return sizeRepairDone
+	case ManagerTakeover:
+		return sizeManagerTakeover
+	case RepairRequest:
+		return sizeRepairRequest
+	case RobotUpdate:
+		return sizeRobotUpdate
+	case Relocate:
+		return sizeRelocate
+	case netstack.Packet:
+		return sizePacket + len(m.Category) + idsSize(m.Path) + nestedSize(m.Payload)
+	case netstack.FloodMsg:
+		return sizeFloodMsg + len(m.Category) + idsSize(m.Relays) + nestedSize(m.Payload)
 	}
-	return e.b, nil
+	return 0
 }
 
 // Decode parses one binary message body back into its Go value. It

@@ -31,10 +31,12 @@ const frameHeaderSize = 4
 // FrameCodec implements radio.Channel with the CRC-protected layout above.
 type FrameCodec struct{}
 
-// Encode renders one frame. It fails only on payloads outside the wire
-// message set — a programming error, not a channel condition.
+// Encode renders one frame into a single exactly sized buffer, nested
+// envelopes included. It fails on payloads outside the wire message set
+// and on a category or body longer than its u16 length prefix (65535
+// bytes) — programming errors, not channel conditions.
 func (FrameCodec) Encode(f radio.Frame) ([]byte, error) {
-	e := enc{b: make([]byte, frameHeaderSize, frameHeaderSize+96)}
+	e := enc{b: make([]byte, frameHeaderSize, frameHeaderSize+8+8+2+len(f.Category)+nestedSize(f.Payload))}
 	e.id(f.Src)
 	e.id(f.Dst)
 	e.str(f.Category)

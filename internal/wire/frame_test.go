@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"roborepair/internal/geom"
+	"roborepair/internal/metrics"
 	"roborepair/internal/netstack"
 	"roborepair/internal/radio"
 )
@@ -73,6 +74,13 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(re, b) {
 			t.Errorf("re-encode of %+v not byte-identical", f)
+		}
+		// One exactly sized buffer per frame, nested envelopes included.
+		if cap(b) != len(b) {
+			t.Errorf("Encode(%+v): %d bytes in a buffer of %d", f, len(b), cap(b))
+		}
+		if n := testing.AllocsPerRun(10, func() { c.Encode(f) }); n != 1 {
+			t.Errorf("Encode(%+v): %v allocations, want 1", f, n)
 		}
 	}
 }
@@ -143,5 +151,36 @@ func TestFrameEncodeRejectsNonWirePayload(t *testing.T) {
 	// loudly, not truncate.
 	if _, err := c.Encode(radio.Frame{Src: 1, Dst: 2, Category: strings.Repeat("x", 1<<16)}); err == nil {
 		t.Fatal("Encode accepted an over-long category")
+	}
+	// So must a nested body past 65535 bytes, whose length is patched in
+	// after it is written.
+	long := netstack.Packet{Src: 1, Dst: 2, Path: make([]radio.NodeID, 8200)}
+	if _, err := c.Encode(radio.Frame{Src: 1, Dst: 2, Payload: long}); err == nil {
+		t.Fatal("Encode accepted an over-long nested body")
+	}
+	if _, err := Encode(netstack.FloodMsg{Payload: long}); err == nil {
+		t.Fatal("Encode accepted an over-long body nested in a flood")
+	}
+}
+
+// TestFrameDecodeInternsCategories checks that a decoded traffic category
+// is the metrics constant, not a fresh copy: the only allocation left in
+// decoding a bare beacon frame is the boxed payload.
+func TestFrameDecodeInternsCategories(t *testing.T) {
+	var c FrameCodec
+	for _, tc := range []struct {
+		category string
+		allocs   float64
+	}{
+		{metrics.CatBeacon, 1},
+		{"not_a_category", 2},
+	} {
+		b, err := c.Encode(radio.Frame{Src: 1, Dst: radio.IDBroadcast, Category: tc.category, Payload: Beacon{From: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(10, func() { c.Decode(b) }); n != tc.allocs {
+			t.Errorf("Decode of a %q frame: %v allocations, want %v", tc.category, n, tc.allocs)
+		}
 	}
 }
