@@ -8,9 +8,10 @@
 //	    same config produce byte-identical Results JSON;
 //	(b) checkpointable: snapshot → encode → decode → restore → continue
 //	    is bit-identical (Results and full event trace) to an
-//	    uninterrupted run;
-//	(c) clean under chaos: the burst / blackout / corrupt fault plans
-//	    produce zero invariant violations;
+//	    uninterrupted run, on the ideal medium and under MAC contention;
+//	(c) clean under chaos: the burst / blackout / corrupt / drain fault
+//	    plans, and a corrupt plan over the contended medium, produce zero
+//	    invariant violations;
 //	(d) unperturbed by observability: invariants + telemetry + recorder
 //	    change no simulation outcome (same trace, same counters), and
 //	    switched off their Results sections are absent.
@@ -104,75 +105,96 @@ func TestConformanceDeterminism(t *testing.T) {
 	})
 }
 
-// TestConformanceCheckpointRestore — contract (b).
+// TestConformanceCheckpointRestore — contract (b). The contended case
+// carries the MAC's frame counter and per-station air logs through the
+// snapshot, and the restore's replay must rebuild them byte for byte.
 func TestConformanceCheckpointRestore(t *testing.T) {
 	forEachAlgorithm(t, func(t *testing.T, alg roborepair.Algorithm) {
-		cfg := conformanceConfig(alg)
-
-		// Uninterrupted reference.
-		wA, err := roborepair.NewWorld(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resA := marshalResults(t, wA.Run())
-		traceA := wA.Trace.Events()
-
-		// Segmented run, banking the mid-run snapshot through the binary
-		// codec (the same path a crash-resumed sweep takes).
-		wB, err := roborepair.NewWorld(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var blob []byte
-		resB, err := wB.RunCheckpointed(roborepair.CheckpointOptions{
-			Every: 600,
-			OnSnapshot: func(s *roborepair.Snapshot) error {
-				if s.T == 1200 {
-					b, err := roborepair.EncodeSnapshot(s)
-					if err != nil {
-						return err
-					}
-					blob = b
-				}
-				return nil
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := marshalResults(t, resB); got != resA {
-			t.Errorf("segmented run diverged from uninterrupted run:\n got %s\nwant %s", got, resA)
-		}
-		if blob == nil {
-			t.Fatal("no snapshot banked at t=1200")
-		}
-
-		// Kill + restore + continue.
-		snap, err := roborepair.DecodeSnapshot(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wC, err := roborepair.Restore(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := marshalResults(t, wC.Run()); got != resA {
-			t.Errorf("restored run diverged from uninterrupted run:\n got %s\nwant %s", got, resA)
-		}
-		if !reflect.DeepEqual(wC.Trace.Events(), traceA) {
-			t.Error("restored run trace diverged from uninterrupted run")
+		for _, contended := range []bool{false, true} {
+			cfg := conformanceConfig(alg)
+			cfg.MACContention = contended
+			checkRestoreContinues(t, cfg)
 		}
 	})
 }
 
+// checkRestoreContinues runs cfg uninterrupted, segmented with a banked
+// mid-run snapshot, and restored from that snapshot, and requires all
+// three to agree.
+func checkRestoreContinues(t *testing.T, cfg roborepair.Config) {
+	t.Helper()
+	medium := "ideal medium"
+	if cfg.MACContention {
+		medium = "contended medium"
+	}
+	// Uninterrupted reference.
+	wA, err := roborepair.NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resA := marshalResults(t, wA.Run())
+	traceA := wA.Trace.Events()
+
+	// Segmented run, banking the mid-run snapshot through the binary
+	// codec (the same path a crash-resumed sweep takes).
+	wB, err := roborepair.NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blob []byte
+	resB, err := wB.RunCheckpointed(roborepair.CheckpointOptions{
+		Every: 600,
+		OnSnapshot: func(s *roborepair.Snapshot) error {
+			if s.T == 1200 {
+				b, err := roborepair.EncodeSnapshot(s)
+				if err != nil {
+					return err
+				}
+				blob = b
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := marshalResults(t, resB); got != resA {
+		t.Errorf("%s: segmented run diverged from uninterrupted run:\n got %s\nwant %s", medium, got, resA)
+	}
+	if blob == nil {
+		t.Fatalf("%s: no snapshot banked at t=1200", medium)
+	}
+
+	// Kill + restore + continue.
+	snap, err := roborepair.DecodeSnapshot(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wC, err := roborepair.Restore(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := marshalResults(t, wC.Run()); got != resA {
+		t.Errorf("%s: restored run diverged from uninterrupted run:\n got %s\nwant %s", medium, got, resA)
+	}
+	if !reflect.DeepEqual(wC.Trace.Events(), traceA) {
+		t.Errorf("%s: restored run trace diverged from uninterrupted run", medium)
+	}
+}
+
 // conformanceFaultPlans are the chaos regimes of contract (c): a loss
 // burst, a regional radio blackout dead-center in the default 400 m
-// field, and a hostile-channel corruption window.
-var conformanceFaultPlans = []struct{ name, spec string }{
-	{"burst", "burst@600-1400=0.3"},
-	{"blackout", "blackout@600-1400=200,200,100"},
-	{"corrupt", "corrupt@600-1400=0.1"},
-	{"drain", "drain@600-1400=0.5"},
+// field, a hostile-channel corruption window, a battery drain, and the
+// corruption window again over the contended medium (contended).
+var conformanceFaultPlans = []struct {
+	name, spec string
+	contended  bool
+}{
+	{"burst", "burst@600-1400=0.3", false},
+	{"blackout", "blackout@600-1400=200,200,100", false},
+	{"corrupt", "corrupt@600-1400=0.1", false},
+	{"drain", "drain@600-1400=0.5", false},
+	{"contended-corrupt", "corrupt@600-1400=0.1", true},
 }
 
 // TestConformanceChaosCleanliness — contract (c).
@@ -181,6 +203,7 @@ func TestConformanceChaosCleanliness(t *testing.T) {
 		for _, plan := range conformanceFaultPlans {
 			cfg := conformanceConfig(alg)
 			cfg.Invariants.Enabled = true
+			cfg.MACContention = plan.contended
 			faults, err := roborepair.ParseFaultPlan(plan.spec)
 			if err != nil {
 				t.Fatal(err)

@@ -24,7 +24,11 @@ import (
 // goldenConfig reproduces the capture recipe exactly: paper defaults at
 // a 4000 s horizon with seed 3 and a full trace; the reliable-burst
 // variant layers faster failures, the reliability protocol, the
-// invariant checker, and a mid-run loss burst on top.
+// invariant checker, and a mid-run loss burst on top. The contended
+// variant runs the reliability protocol over the CSMA contention model
+// with a frame-corruption window and a manager crash, pinning the
+// contended medium's collisions, carrier-sense deferrals and backoff
+// draws byte for byte.
 func goldenConfig(alg roborepair.Algorithm, variant string) roborepair.Config {
 	cfg := roborepair.DefaultConfig()
 	cfg.Algorithm = alg
@@ -41,12 +45,22 @@ func goldenConfig(alg roborepair.Algorithm, variant string) roborepair.Config {
 		}
 		cfg.Faults = plan
 	}
+	if variant == "contended" {
+		cfg.MeanLifetime = 2000
+		cfg.Reliability.Enabled = true
+		cfg.MACContention = true
+		plan, err := chaos.Parse("mgr@1500;corrupt@2000-3000=0.05")
+		if err != nil {
+			panic(err)
+		}
+		cfg.Faults = plan
+	}
 	return cfg
 }
 
 func TestGoldenBitIdentity(t *testing.T) {
 	for _, alg := range []roborepair.Algorithm{roborepair.Centralized, roborepair.Fixed, roborepair.Dynamic} {
-		for _, variant := range []string{"paper", "reliable-burst"} {
+		for _, variant := range []string{"paper", "reliable-burst", "contended"} {
 			name := fmt.Sprintf("%s-%s", alg, variant)
 			t.Run(name, func(t *testing.T) {
 				w, err := roborepair.NewWorld(goldenConfig(alg, variant))

@@ -13,6 +13,8 @@ import (
 const DefaultTTL = 64
 
 // NeighborSource supplies a node's candidate next hops at forwarding time.
+// The returned slice may be the source's own storage: the router only
+// reads it, and stops reading it when it transmits.
 type NeighborSource interface {
 	RoutingNeighbors() []Neighbor
 }
@@ -23,7 +25,10 @@ type TableSource struct {
 	Table *NeighborTable
 }
 
-// RoutingNeighbors implements NeighborSource.
+// RoutingNeighbors implements NeighborSource with a read-only view of the
+// table (NeighborTable.All): no copy is made. The router reads it only
+// before the hop's transmit, which is the first point where a synchronous
+// delivery could mutate the table.
 func (s TableSource) RoutingNeighbors() []Neighbor { return s.Table.All() }
 
 var _ NeighborSource = TableSource{}

@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -363,4 +364,43 @@ func mustMedium(sched *sim.Scheduler, reg *metrics.Registry, cfg radio.Config) *
 		panic(err)
 	}
 	return m
+}
+
+// TestRoutingLeavesTableUnchanged routes a packet between every ordered
+// pair of a seeded field, through greedy hops and perimeter detours, with
+// every router reading its table through a TableSource view. The router
+// must only read the view: every table ends holding exactly the entries,
+// in the order, it started with.
+func TestRoutingLeavesTableUnchanged(t *testing.T) {
+	tn := newTestNet()
+	r := rng.New(7)
+	const n = 40
+	for i := 1; i <= n; i++ {
+		tn.add(radio.NodeID(i), geom.Pt(r.Uniform(0, 300), r.Uniform(0, 300)), 63)
+	}
+	tn.fillTables()
+	before := make(map[radio.NodeID][]Neighbor, n)
+	for id, node := range tn.nodes {
+		before[id] = slices.Clone(node.table.All())
+	}
+	delivered := 0
+	for a := radio.NodeID(1); a <= n; a++ {
+		for b := radio.NodeID(1); b <= n; b++ {
+			if a == b {
+				continue
+			}
+			dst := tn.nodes[b]
+			got := len(dst.delivered)
+			tn.nodes[a].router.Originate(Packet{Dst: b, DstLoc: dst.pos, Category: "t"})
+			delivered += len(dst.delivered) - got
+		}
+	}
+	for id, node := range tn.nodes {
+		if !slices.Equal(node.table.All(), before[id]) {
+			t.Fatalf("n%d's table changed by routing:\n got %v\nwant %v", id, node.table.All(), before[id])
+		}
+	}
+	if delivered == 0 {
+		t.Fatal("no packet delivered")
+	}
 }

@@ -104,8 +104,9 @@ func (t *NeighborTable) Purge(deadline sim.Time) []radio.NodeID {
 	return removed
 }
 
-// All returns a copy of the entries in ascending ID order (deterministic
-// iteration for the simulator).
-func (t *NeighborTable) All() []Neighbor {
-	return append(make([]Neighbor, 0, len(t.entries)), t.entries...)
-}
+// All returns the table's entries in ascending ID order (deterministic
+// iteration for the simulator). The slice is the table's own, not a copy:
+// it is read-only, and valid only until the next Upsert, Remove, Touch or
+// Purge. A caller that mutates the table while still needing entries
+// copies them out first, as the neighbor watch does before Purge.
+func (t *NeighborTable) All() []Neighbor { return t.entries }

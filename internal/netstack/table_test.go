@@ -184,3 +184,27 @@ func TestRouteModeString(t *testing.T) {
 		t.Fatal("unknown mode should format")
 	}
 }
+
+// TestTableViewDoesNotAllocate pins the view contract: All, and
+// TableSource.RoutingNeighbors through the NeighborSource interface the
+// router calls, return the table's own entries without copying them.
+func TestTableViewDoesNotAllocate(t *testing.T) {
+	tb := NewNeighborTable()
+	for id := radio.NodeID(1); id <= 20; id++ {
+		tb.Upsert(id, geom.Pt(float64(id), 0), 0)
+	}
+	var src NeighborSource = TableSource{Table: tb}
+	seen := 0
+	if a := testing.AllocsPerRun(100, func() { seen += len(tb.All()) }); a != 0 {
+		t.Errorf("All: %v allocs per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { seen += len(src.RoutingNeighbors()) }); a != 0 {
+		t.Errorf("TableSource.RoutingNeighbors: %v allocs per call, want 0", a)
+	}
+	if all := src.RoutingNeighbors(); len(all) != 20 || &all[0] != &tb.All()[0] {
+		t.Errorf("RoutingNeighbors is not a view of the table's entries")
+	}
+	if seen == 0 {
+		t.Fatal("no entries seen")
+	}
+}

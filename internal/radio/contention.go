@@ -42,17 +42,26 @@ type reception struct {
 	end   sim.Time
 }
 
-// air tracks per-station audible transmission intervals.
+// air tracks per-station audible transmission intervals. byStation is
+// indexed by NodeID, like the medium's other per-station state, and grows
+// on the first mark of a station past its end.
 type air struct {
-	byStation map[NodeID][]reception
+	byStation [][]reception
 }
 
-func newAir() *air {
-	return &air{byStation: make(map[NodeID][]reception)}
+// log returns the station's audible intervals.
+func (a *air) log(st NodeID) []reception {
+	if int(st) >= len(a.byStation) {
+		return nil
+	}
+	return a.byStation[st]
 }
 
 // mark logs that a frame is audible at the station over [start, end).
 func (a *air) mark(st NodeID, r reception) {
+	if int(st) >= len(a.byStation) {
+		a.byStation = append(a.byStation, make([][]reception, int(st)+1-len(a.byStation))...)
+	}
 	log := a.byStation[st]
 	// Prune entries that can no longer overlap anything in flight.
 	cutoff := r.start - (r.end-r.start)*8
@@ -68,7 +77,7 @@ func (a *air) mark(st NodeID, r reception) {
 // collided reports whether any other audible interval overlaps the frame's
 // interval at the station.
 func (a *air) collided(st NodeID, frame uint64, start, end sim.Time) bool {
-	for _, e := range a.byStation[st] {
+	for _, e := range a.log(st) {
 		if e.frame == frame {
 			continue
 		}
@@ -84,7 +93,7 @@ func (a *air) collided(st NodeID, frame uint64, start, end sim.Time) bool {
 func (a *air) busyUntil(st NodeID, now sim.Time) (sim.Time, bool) {
 	var until sim.Time
 	busy := false
-	for _, e := range a.byStation[st] {
+	for _, e := range a.log(st) {
 		if e.start <= now && now < e.end {
 			busy = true
 			if e.end > until {
@@ -100,13 +109,38 @@ func (a *air) busyUntil(st NodeID, now sim.Time) (sim.Time, bool) {
 // retry-bounded behaviour while guaranteeing simulation progress).
 const csmaMaxDefers = 16
 
+// transmission is one contended send from Send to delivery: every event
+// of its backoff, carrier-sense deferrals and airtime runs the same bound
+// step, so a send allocates this record and one func value whatever its
+// number of attempts.
+type transmission struct {
+	m   *Medium
+	f   Frame
+	pos sendSnapshot
+	// id is the frame's air-log identity; start and end its airtime,
+	// set when it goes on the air.
+	id         uint64
+	start, end sim.Time
+	defers     int
+	// waiting marks a pending carrier-sense deferral: the next step draws
+	// a fresh backoff instead of sensing the channel.
+	waiting bool
+	step    func()
+	// enc holds the Channel encoding; without a Channel it stays empty
+	// and delivery hands handoff a nil record.
+	enc encoded
+}
+
 // sendContended implements Send under the contention model: CSMA-style
 // carrier sensing with random backoff, then the frame occupies the air for
 // its airtime; receivers decode it only if nothing else they can hear
-// overlaps (hidden terminals still collide, as in real 802.11).
-func (m *Medium) sendContended(f Frame, tx *encoded, pos sendSnapshot) {
+// overlaps (hidden terminals still collide, as in real 802.11). b is the
+// Channel's encoding of f, nil without a Channel.
+func (m *Medium) sendContended(f Frame, b []byte, pos sendSnapshot) {
 	m.frameSeq++
-	m.tryTransmit(f, tx, pos, m.frameSeq, 0)
+	t := &transmission{m: m, f: f, pos: pos, id: m.frameSeq, enc: encoded{b: b}}
+	t.step = t.advance
+	m.tryTransmit(t)
 }
 
 func (m *Medium) backoff() sim.Duration {
@@ -116,41 +150,74 @@ func (m *Medium) backoff() sim.Duration {
 	return sim.Duration(m.cfg.Contention.Rand.Float64()) * m.cfg.Contention.MaxBackoff
 }
 
-func (m *Medium) tryTransmit(f Frame, tx *encoded, pos sendSnapshot, frameID uint64, defers int) {
-	m.sched.After(m.backoff(), func() {
-		now := m.sched.Now()
-		// Carrier sense: defer while the channel is busy at the sender.
-		if until, busy := m.air.busyUntil(f.Src, now); busy && defers < csmaMaxDefers {
-			m.sched.After(until.Sub(now), func() {
-				m.tryTransmit(f, tx, pos, frameID, defers+1)
-			})
-			return
-		}
-		start := m.sched.Now()
-		end := start.Add(m.cfg.Contention.Airtime)
-		// The frame is audible at every active station in range,
-		// regardless of addressing — that is what causes collisions.
-		audible := m.neighbors(pos.pos, pos.rng, f.Src)
-		for _, n := range audible {
-			m.air.mark(n.id, reception{frame: frameID, start: start, end: end})
-		}
-		m.release(audible)
-		// The sender itself hears its own transmission (for carrier
-		// sensing by its later frames).
-		m.air.mark(f.Src, reception{frame: frameID, start: start, end: end})
-		m.sched.After(m.cfg.Contention.Airtime, func() {
-			m.deliverContended(f, tx, frameID, start, end, pos)
-		})
-	})
+// tryTransmit starts one attempt: a fresh backoff, then carrier sense.
+func (m *Medium) tryTransmit(t *transmission) {
+	m.sched.After(m.backoff(), t.step)
 }
 
-func (m *Medium) deliverContended(f Frame, tx *encoded, frameID uint64, start, end sim.Time, pos sendSnapshot) {
+// advance runs the transmission's next event: the end of a deferral
+// starts a new attempt, the end of the airtime (end is set only once the
+// frame is on the air) delivers, and the end of a backoff senses the
+// channel.
+func (t *transmission) advance() {
+	m := t.m
+	switch {
+	case t.waiting:
+		t.waiting = false
+		m.tryTransmit(t)
+	case t.end != 0:
+		m.deliverContended(t)
+	default:
+		m.senseAndTransmit(t)
+	}
+}
+
+// senseAndTransmit defers while the channel is busy at the sender, and
+// otherwise puts the frame on the air: it is marked audible at every
+// active station in range, regardless of addressing — that is what causes
+// collisions — and at the sender itself, for carrier sensing by its later
+// frames. Each station's air log is its own and no station is marked twice
+// per frame, so the marking order does not matter: the audible set is
+// walked unsorted.
+func (m *Medium) senseAndTransmit(t *transmission) {
+	now := m.sched.Now()
+	if until, busy := m.air.busyUntil(t.f.Src, now); busy && t.defers < csmaMaxDefers {
+		t.defers++
+		t.waiting = true
+		m.sched.After(until.Sub(now), t.step)
+		return
+	}
+	t.start = now
+	t.end = now.Add(m.cfg.Contention.Airtime)
+	r := reception{frame: t.id, start: t.start, end: t.end}
+	audible := m.acquire()
+	if m.cachedStatic(t.f.Src, t.pos.pos, t.pos.rng) {
+		audible = m.staticAppend(audible, t.f.Src, t.pos.pos, t.pos.rng)
+	} else {
+		audible = m.gridAppend(audible, t.pos.pos, t.pos.rng, t.f.Src)
+	}
+	for _, n := range audible {
+		m.air.mark(n.id, r)
+	}
+	m.release(audible)
+	m.air.mark(t.f.Src, r)
+	m.sched.After(m.cfg.Contention.Airtime, t.step)
+}
+
+// deliverContended hands the frame to every in-range receiver, in ID
+// order, that heard no overlapping transmission over its airtime.
+func (m *Medium) deliverContended(t *transmission) {
+	f, pos := t.f, t.pos
+	var tx *encoded
+	if m.cfg.Channel != nil {
+		tx = &t.enc
+	}
 	if m.silenced(pos.pos) {
 		m.reg.CountTx(CatBlackout, 1)
 		return
 	}
 	deliverTo := func(n neighbor) {
-		if m.air.collided(n.id, frameID, start, end) {
+		if m.air.collided(n.id, t.id, t.start, t.end) {
 			m.collisionCt.Add(1)
 			return
 		}

@@ -218,7 +218,7 @@ type Medium struct {
 	cell     []cellKey // authoritative grid membership
 	count    int
 	grid     map[cellKey][]NodeID
-	air      *air
+	air      air
 	frameSeq uint64
 	// mobiles lists the attached mobile stations in ID order; cached
 	// broadcasts merge them into a static sender's neighbor set.
@@ -279,7 +279,6 @@ func NewMedium(sched *sim.Scheduler, reg *metrics.Registry, cfg Config) (*Medium
 		reg:         reg,
 		cfg:         cfg,
 		grid:        make(map[cellKey][]NodeID),
-		air:         newAir(),
 		collisionCt: reg.Counter(CatCollision),
 		frameLoss:   fl,
 	}, nil
@@ -521,14 +520,23 @@ func (m *Medium) AppendInRange(dst []RangeEntry, p geom.Point, radius float64, e
 
 // inRangeAppend appends the active stations strictly within radius of p
 // (excluding exclude) to dst in ID-sorted order and returns the extended
+// slice.
+func (m *Medium) inRangeAppend(dst []neighbor, p geom.Point, radius float64, exclude NodeID) []neighbor {
+	base := len(dst)
+	dst = m.gridAppend(dst, p, radius, exclude)
+	sortNeighbors(dst[base:])
+	return dst
+}
+
+// gridAppend appends the active stations strictly within radius of p
+// (excluding exclude) to dst in grid-walk order and returns the extended
 // slice. Candidates resolve through the SoA caches: one bounds-checked
 // slice load each for activity and position, no interface calls except for
 // mobile stations.
-func (m *Medium) inRangeAppend(dst []neighbor, p geom.Point, radius float64, exclude NodeID) []neighbor {
+func (m *Medium) gridAppend(dst []neighbor, p geom.Point, radius float64, exclude NodeID) []neighbor {
 	if radius <= 0 {
 		return dst
 	}
-	base := len(dst)
 	r2 := radius * radius
 	lo := m.keyOf(geom.Pt(p.X-radius, p.Y-radius))
 	hi := m.keyOf(geom.Pt(p.X+radius, p.Y+radius))
@@ -548,7 +556,6 @@ func (m *Medium) inRangeAppend(dst []neighbor, p geom.Point, radius float64, exc
 			}
 		}
 	}
-	sortNeighbors(dst[base:])
 	return dst
 }
 
@@ -558,15 +565,29 @@ func (m *Medium) inRangeAppend(dst []neighbor, p geom.Point, radius float64, exc
 // cached position is served from its static neighbor set, everything
 // else from the grid.
 func (m *Medium) neighbors(p geom.Point, radius float64, exclude NodeID) []neighbor {
+	buf := m.acquire()
+	if m.cachedStatic(exclude, p, radius) {
+		return m.staticAppend(buf, exclude, p, radius)
+	}
+	return m.inRangeAppend(buf, p, radius, exclude)
+}
+
+// acquire returns the empty buffer of the next delivery depth; the caller
+// hands it back with release.
+func (m *Medium) acquire() []neighbor {
 	if m.depth == len(m.bufs) {
 		m.bufs = append(m.bufs, nil)
 	}
 	buf := m.bufs[m.depth][:0]
 	m.depth++
-	if m.station(exclude) != nil && !m.mobile[exclude] && m.pos[exclude] == p && radius > 0 {
-		return m.staticAppend(buf, exclude, p, radius)
-	}
-	return m.inRangeAppend(buf, p, radius, exclude)
+	return buf
+}
+
+// cachedStatic reports whether a send from src at p with the given radius
+// is served from src's static neighbor set: src is an attached static
+// station still at p.
+func (m *Medium) cachedStatic(src NodeID, p geom.Point, radius float64) bool {
+	return m.station(src) != nil && !m.mobile[src] && m.pos[src] == p && radius > 0
 }
 
 // release returns the deepest delivery buffer, dropping its station
@@ -623,20 +644,23 @@ func (m *Medium) Send(f Frame) {
 	}
 	// With a channel installed the frame is serialized exactly once per
 	// transmission, into a fresh buffer (replay capture keeps references).
-	var tx *encoded
+	var b []byte
 	if m.cfg.Channel != nil {
-		b, err := m.cfg.Channel.Encode(f)
-		if err != nil {
+		var err error
+		if b, err = m.cfg.Channel.Encode(f); err != nil {
 			// Only payloads outside the wire message set fail to encode —
 			// a programming error, not a channel condition.
 			panic(fmt.Sprintf("radio: unencodable %s frame: %v", f.Category, err))
 		}
-		tx = &encoded{b: b}
 	}
 	pos, rng := m.posOf(f.Src), src.RadioRange()
 	if m.cfg.Contention.Enabled() {
-		m.sendContended(f, tx, sendSnapshot{pos: pos, rng: rng})
+		m.sendContended(f, b, sendSnapshot{pos: pos, rng: rng})
 		return
+	}
+	var tx *encoded
+	if m.cfg.Channel != nil {
+		tx = &encoded{b: b}
 	}
 	if m.cfg.Latency <= 0 {
 		m.deliver(f, tx, pos, rng)

@@ -1,18 +1,14 @@
 package radio
 
-import (
-	"sort"
-
-	"roborepair/internal/checkpoint"
-)
+import "roborepair/internal/checkpoint"
 
 // AppendState serializes the medium's station table and MAC state in
 // canonical order (checkpoint section payload): for every attached ID the
 // cached position, activity, and mobility, then the contention model's
-// frame counter and per-station audible intervals. Station behaviour
-// (HandleFrame) is not serialized — a restored run re-attaches the
-// stations by deterministic replay and this section verifies the rebuilt
-// table matches.
+// frame counter and the audible intervals of each station that has any,
+// in ID order. Station behaviour (HandleFrame) is not serialized — a
+// restored run re-attaches the stations by deterministic replay and this
+// section verifies the rebuilt table matches.
 func (m *Medium) AppendState(b []byte) []byte {
 	b = checkpoint.AppendU32(b, uint32(m.count))
 	for id := range m.stations {
@@ -28,16 +24,17 @@ func (m *Medium) AppendState(b []byte) []byte {
 	}
 
 	b = checkpoint.AppendU64(b, m.frameSeq)
-	ids := make([]NodeID, 0, len(m.air.byStation))
-	for id, log := range m.air.byStation {
+	logged := 0
+	for _, log := range m.air.byStation {
 		if len(log) > 0 {
-			ids = append(ids, id)
+			logged++
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	b = checkpoint.AppendU32(b, uint32(len(ids)))
-	for _, id := range ids {
-		log := m.air.byStation[id]
+	b = checkpoint.AppendU32(b, uint32(logged))
+	for id, log := range m.air.byStation {
+		if len(log) == 0 {
+			continue
+		}
 		b = checkpoint.AppendI64(b, int64(id))
 		b = checkpoint.AppendU32(b, uint32(len(log)))
 		for _, r := range log {
