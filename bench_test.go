@@ -17,6 +17,7 @@
 package roborepair_test
 
 import (
+	"math"
 	"testing"
 
 	"roborepair"
@@ -212,6 +213,27 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		}
 	}
 	b.ReportMetric(simTime*float64(b.N)/b.Elapsed().Seconds(), "sim-s/s")
+}
+
+// BenchmarkWorldBuild measures building a 10k-sensor field at the paper's
+// density (16 robots, 625 sensors each, on a 200 m per 50 sensors scale):
+// world construction, no simulated time. allocs/op and B/op are the
+// tracked numbers: a sensor shares the world's config and hooks, holds
+// its table, flooder and router inline, and sizes its table on first use,
+// so constructing it is one allocation; the rest of a sensor's share is
+// its boot events (announce, guardian selection, beacon ticker, lifetime).
+func BenchmarkWorldBuild(b *testing.B) {
+	cfg := roborepair.DefaultConfig()
+	cfg.Robots = 16
+	cfg.SensorsPerRobot = 625
+	cfg.AreaPerRobotSide = 200 * math.Sqrt(625.0/50)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i + 1)
+		if _, err := roborepair.NewWorld(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkSimulatorThroughputTelemetry is the same workload with the full

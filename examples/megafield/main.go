@@ -2,8 +2,10 @@
 // scaled far past its 800-sensor maximum — 100k sensors by default, 1M
 // with -sensors 1000000 — at the paper's density (50 sensors per
 // 200 m × 200 m robot cell), and prints engine throughput next to the
-// repair-pipeline results. The ladder-queue scheduler and the
-// struct-of-arrays radio/node state are what make this size practical.
+// repair-pipeline results and the run's memory: the live heap with the
+// world still held, and the process's peak resident set. The ladder-queue
+// scheduler, the struct-of-arrays radio state and compact sensors are what
+// make this size practical.
 //
 // Usage:
 //
@@ -13,11 +15,14 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"log"
 	"math"
 	"os"
+	"runtime"
+	"strings"
 	"time"
 
 	"roborepair"
@@ -50,14 +55,26 @@ func main() {
 		cfg.NumSensors(), cfg.Robots, cfg.FieldSide(), cfg.SimTime)
 
 	start := time.Now()
-	res, err := roborepair.Run(cfg)
+	w, err := roborepair.NewWorld(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := w.Run()
 	wall := time.Since(start)
 
-	fmt.Printf("wall time: %.1f s (%.0f sim-s per wall-s)\n",
+	// A million-sensor run manages well under 1 sim-s per wall-s, so the
+	// rate keeps three significant digits rather than rounding to 0.
+	fmt.Printf("wall time: %.1f s (%.3g sim-s per wall-s)\n",
 		wall.Seconds(), cfg.SimTime/wall.Seconds())
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(w)
+	mem := fmt.Sprintf("live heap after run: %.1f MiB", float64(ms.HeapAlloc)/(1<<20))
+	if kb, ok := peakRSSKiB(); ok {
+		mem += fmt.Sprintf(", peak RSS: %.1f MiB", float64(kb)/1024)
+	}
+	fmt.Println(mem)
 	fmt.Printf("failures injected: %d, reported: %d, repaired: %d\n",
 		res.FailuresInjected, res.ReportsSent, res.Repairs)
 	fmt.Printf("avg travel per failure: %.1f m, avg repair delay: %.0f s\n",
@@ -65,4 +82,22 @@ func main() {
 	if res.FailuresInjected == 0 {
 		fmt.Fprintln(os.Stderr, "megafield: no failures at this horizon; raise -simtime")
 	}
+}
+
+// peakRSSKiB reads the process's peak resident set size (VmHWM) from
+// /proc/self/status; ok is false where that file does not exist.
+func peakRSSKiB() (kb int64, ok bool) {
+	f, err := os.Open("/proc/self/status")
+	if err != nil {
+		return 0, false
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if v, found := strings.CutPrefix(sc.Text(), "VmHWM:"); found {
+			_, err := fmt.Sscan(v, &kb) // "  123456 kB"
+			return kb, err == nil
+		}
+	}
+	return 0, false
 }

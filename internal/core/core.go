@@ -211,7 +211,8 @@ type Manager struct {
 	pos    geom.Point
 	rng    float64
 	medium *radio.Medium
-	router *netstack.Router
+	router netstack.Router
+	source netstack.MediumSource
 	hooks  ManagerHooks
 	policy DispatchPolicy
 
@@ -246,7 +247,10 @@ type robotInfo struct {
 	seq  uint64
 }
 
-var _ radio.Station = (*Manager)(nil)
+var (
+	_ radio.Station = (*Manager)(nil)
+	_ netstack.Host = (*Manager)(nil)
+)
 
 // NewManager constructs the manager at pos (the field center) with the
 // robot transmission range.
@@ -259,22 +263,8 @@ func NewManager(id radio.NodeID, pos geom.Point, txRange float64, medium *radio.
 		hooks:  hooks,
 		robots: make(map[radio.NodeID]robotInfo),
 	}
-	m.router = &netstack.Router{
-		ID:     id,
-		Pos:    func() geom.Point { return m.pos },
-		Range:  func() float64 { return m.rng },
-		Medium: medium,
-		Source: &netstack.MediumSource{
-			Medium: medium,
-			Self:   id,
-			Pos:    func() geom.Point { return m.pos },
-			Range:  func() float64 { return m.rng },
-		},
-		Deliver: m.deliver,
-		OnDrop: func(p netstack.Packet, reason netstack.DropReason) {
-			medium.Metrics().CountTx("drop_"+string(reason), 1)
-		},
-	}
+	m.source = netstack.MediumSource{Medium: medium, Self: id, Host: m}
+	m.router = netstack.Router{ID: id, Host: m, Medium: medium, Source: &m.source}
 	return m
 }
 
@@ -303,7 +293,7 @@ func (m *Manager) SetSelector(sel Selector) { m.selector = sel }
 // Router exposes the manager's geographic router so registered strategies
 // can originate their own control traffic (e.g. relocation commands) from
 // the manager station.
-func (m *Manager) Router() *netstack.Router { return m.router }
+func (m *Manager) Router() *netstack.Router { return &m.router }
 
 // Active reports whether the manager is operating: neither crashed nor
 // deposed by an elected successor.
@@ -396,10 +386,15 @@ func (m *Manager) HandleFrame(f radio.Frame) {
 	}
 }
 
-// deliver processes packets addressed to the manager: robot location
-// updates refresh the dispatch table, failure reports are forwarded to the
-// closest robot.
-func (m *Manager) deliver(p netstack.Packet) {
+// DropPacket implements netstack.Host.
+func (m *Manager) DropPacket(_ netstack.Packet, reason netstack.DropReason) {
+	m.medium.Metrics().CountTx("drop_"+string(reason), 1)
+}
+
+// DeliverPacket implements netstack.Host: it processes packets addressed
+// to the manager. Robot location updates refresh the dispatch table;
+// failure reports are forwarded to the closest robot.
+func (m *Manager) DeliverPacket(p netstack.Packet) {
 	if m.failed || m.deposed {
 		return
 	}

@@ -53,9 +53,9 @@ func newCoreRig() *coreRig {
 }
 
 func (g *coreRig) sensor(id radio.NodeID, pos geom.Point, p node.Policy) *node.Sensor {
-	s := node.NewSensor(id, pos, node.Config{
+	s := node.NewSensor(id, pos, &node.Config{
 		Range: 63, BeaconPeriod: 10, MissedBeacons: 3, SettleDelay: 5, FloodTTL: FloodTTL,
-	}, p, g.medium, node.Hooks{})
+	}, p, g.medium, &node.Hooks{})
 	s.Start(0.1, 1, false)
 	return s
 }

@@ -10,13 +10,9 @@ import "roborepair/internal/radio"
 //
 // Sequence numbers are monotone per origin, so remembering the highest
 // handled sequence per origin suffices and stays O(#robots) per sensor.
+// The zero Flooder is ready to use; its map is made on the first Fresh.
 type Flooder struct {
 	seen map[radio.NodeID]uint64
-}
-
-// NewFlooder returns an empty duplicate-suppression state.
-func NewFlooder() *Flooder {
-	return &Flooder{seen: make(map[radio.NodeID]uint64)}
 }
 
 // Fresh reports whether m is the first copy of its (origin, seq) instance
@@ -27,6 +23,9 @@ func (f *Flooder) Fresh(m FloodMsg) bool {
 	if ok && m.Seq <= last {
 		return false
 	}
+	if f.seen == nil {
+		f.seen = make(map[radio.NodeID]uint64)
+	}
 	f.seen[m.Origin] = m.Seq
 	return true
 }
@@ -36,7 +35,3 @@ func (f *Flooder) LastSeq(origin radio.NodeID) (uint64, bool) {
 	s, ok := f.seen[origin]
 	return s, ok
 }
-
-// Reset forgets all state (used when a replacement node boots with a fresh
-// flooder at the same address).
-func (f *Flooder) Reset() { f.seen = make(map[radio.NodeID]uint64) }

@@ -42,8 +42,8 @@ var _ NeighborSource = TableSource{}
 type MediumSource struct {
 	Medium *radio.Medium
 	Self   radio.NodeID
-	Pos    func() geom.Point
-	Range  func() float64
+	// Host supplies the querying node's position and range.
+	Host Host
 
 	// entries and out are reusable query buffers: the router consumes the
 	// returned slice before the next hop's query can run, so the per-hop
@@ -55,7 +55,7 @@ type MediumSource struct {
 // RoutingNeighbors implements NeighborSource. The returned slice is valid
 // until the next call and must not be retained.
 func (s *MediumSource) RoutingNeighbors() []Neighbor {
-	s.entries = s.Medium.AppendInRange(s.entries[:0], s.Pos(), s.Range(), s.Self)
+	s.entries = s.Medium.AppendInRange(s.entries[:0], s.Host.RadioPos(), s.Host.RadioRange(), s.Self)
 	s.out = s.out[:0]
 	for _, e := range s.entries {
 		s.out = append(s.out, Neighbor{ID: e.ID, Loc: e.Loc})
@@ -76,6 +76,18 @@ const (
 	DropStuck DropReason = "stuck"
 )
 
+// Host is the node a Router forwards for: its radio position and range,
+// and the sinks for packets addressed to it and packets it discards.
+// Sensors, robots and the central manager implement it.
+type Host interface {
+	RadioPos() geom.Point
+	RadioRange() float64
+	// DeliverPacket receives a packet addressed to the host.
+	DeliverPacket(Packet)
+	// DropPacket observes a packet discarded at the host.
+	DropPacket(Packet, DropReason)
+}
+
 // Router implements per-node geographic forwarding: greedy by default,
 // face routing (right-hand rule on the Gabriel subgraph) to recover from
 // holes, and a last-resort direct transmission toward a destination whose
@@ -84,18 +96,12 @@ const (
 type Router struct {
 	// ID is this node's address.
 	ID radio.NodeID
-	// Pos returns this node's current location.
-	Pos func() geom.Point
-	// Range returns this node's transmission range.
-	Range func() float64
+	// Host is the node itself: position, range, delivery and drops.
+	Host Host
 	// Medium transmits frames.
 	Medium *radio.Medium
 	// Source supplies next-hop candidates.
 	Source NeighborSource
-	// Deliver receives packets addressed to this node.
-	Deliver func(Packet)
-	// OnDrop, if set, observes discarded packets.
-	OnDrop func(Packet, DropReason)
 	// RecordPaths makes packets originated here carry their full hop
 	// path (diagnostics).
 	RecordPaths bool
@@ -121,16 +127,14 @@ func (r *Router) Receive(p Packet) { r.process(p) }
 
 func (r *Router) process(p Packet) {
 	if p.Dst == r.ID {
-		if r.Deliver != nil {
-			r.Deliver(p)
-		}
+		r.Host.DeliverPacket(p)
 		return
 	}
 	if p.TTL <= 0 {
-		r.drop(p, DropTTL)
+		r.Host.DropPacket(p, DropTTL)
 		return
 	}
-	self := r.Pos()
+	self := r.Host.RadioPos()
 	neighbors := r.Source.RoutingNeighbors()
 
 	// Direct delivery when the destination is a known neighbor.
@@ -155,7 +159,7 @@ func (r *Router) process(p Packet) {
 		// range, transmit at it directly: the medium delivers iff the
 		// destination is actually reachable (it may have moved ≤ the
 		// 20 m update threshold).
-		if self.Dist(p.DstLoc) <= r.Range() {
+		if self.Dist(p.DstLoc) <= r.Host.RadioRange() {
 			r.transmit(p, p.Dst)
 			return
 		}
@@ -169,9 +173,9 @@ func (r *Router) process(p Packet) {
 			r.transmit(p, next.ID)
 			return
 		}
-		r.drop(p, DropStuck)
+		r.Host.DropPacket(p, DropStuck)
 	default:
-		r.drop(p, DropStuck)
+		r.Host.DropPacket(p, DropStuck)
 	}
 }
 
@@ -190,12 +194,6 @@ func (r *Router) transmit(p Packet, next radio.NodeID) {
 		Category: p.Category,
 		Payload:  p,
 	})
-}
-
-func (r *Router) drop(p Packet, reason DropReason) {
-	if r.OnDrop != nil {
-		r.OnDrop(p, reason)
-	}
 }
 
 // greedyNext picks the neighbor strictly closer to dst than self, choosing

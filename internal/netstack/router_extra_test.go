@@ -152,11 +152,9 @@ func TestDropReasonsSurfaceOnce(t *testing.T) {
 func TestRouterCountsDropCategory(t *testing.T) {
 	tn := newTestNet()
 	a := tn.add(1, geom.Pt(0, 0), 63)
-	var dropped []DropReason
-	a.router.OnDrop = func(_ Packet, r DropReason) { dropped = append(dropped, r) }
 	a.router.Originate(Packet{Dst: 99, DstLoc: geom.Pt(500, 500), Category: "t", TTL: 1})
-	if len(dropped) != 1 || dropped[0] != DropStuck {
-		t.Fatalf("dropped = %v", dropped)
+	if len(a.drops) != 1 || a.drops[0] != DropStuck {
+		t.Fatalf("dropped = %v", a.drops)
 	}
 }
 
@@ -166,12 +164,7 @@ func TestMediumSourceSkipsInactive(t *testing.T) {
 	dead := tn.add(2, geom.Pt(50, 0), 63)
 	dead.dead = true
 	tn.medium.SetActive(2, false)
-	src := MediumSource{
-		Medium: tn.medium,
-		Self:   1,
-		Pos:    func() geom.Point { return m.pos },
-		Range:  func() float64 { return m.rng },
-	}
+	src := MediumSource{Medium: tn.medium, Self: 1, Host: m}
 	if got := src.RoutingNeighbors(); len(got) != 0 {
 		t.Fatalf("inactive station offered as next hop: %v", got)
 	}

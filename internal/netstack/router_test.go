@@ -35,8 +35,13 @@ func (n *testNode) HandleFrame(f radio.Frame) {
 		n.router.Receive(p)
 	}
 }
+func (n *testNode) DeliverPacket(p Packet)            { n.delivered = append(n.delivered, p) }
+func (n *testNode) DropPacket(_ Packet, r DropReason) { n.drops = append(n.drops, r) }
 
-var _ radio.Station = (*testNode)(nil)
+var (
+	_ radio.Station = (*testNode)(nil)
+	_ Host          = (*testNode)(nil)
+)
 
 // testNet wires nodes, medium, and routers together.
 type testNet struct {
@@ -58,17 +63,12 @@ func newTestNet() *testNet {
 }
 
 func (tn *testNet) add(id radio.NodeID, pos geom.Point, r float64) *testNode {
-	n := &testNode{id: id, pos: pos, rng: r, table: NewNeighborTable()}
+	n := &testNode{id: id, pos: pos, rng: r, table: &NeighborTable{}}
 	n.router = &Router{
 		ID:     id,
-		Pos:    func() geom.Point { return n.pos },
-		Range:  func() float64 { return n.rng },
+		Host:   n,
 		Medium: tn.medium,
 		Source: TableSource{Table: n.table},
-		Deliver: func(p Packet) {
-			n.delivered = append(n.delivered, p)
-		},
-		OnDrop: func(_ Packet, r DropReason) { n.drops = append(n.drops, r) },
 	}
 	tn.nodes[id] = n
 	tn.medium.Attach(n)
@@ -233,12 +233,7 @@ func TestMediumSourceSeesInRangeStations(t *testing.T) {
 	m := tn.add(1, geom.Pt(0, 0), 250)
 	tn.add(2, geom.Pt(100, 0), 63)
 	tn.add(3, geom.Pt(300, 0), 63)
-	src := MediumSource{
-		Medium: tn.medium,
-		Self:   1,
-		Pos:    func() geom.Point { return m.pos },
-		Range:  func() float64 { return m.rng },
-	}
+	src := MediumSource{Medium: tn.medium, Self: 1, Host: m}
 	ns := src.RoutingNeighbors()
 	if len(ns) != 1 || ns[0].ID != 2 {
 		t.Fatalf("MediumSource neighbors = %v", ns)
@@ -250,12 +245,7 @@ func TestManagerLongFirstHop(t *testing.T) {
 	// one hop where a sensor chain would need several — the Fig 3 effect.
 	tn := newTestNet()
 	mgr := tn.add(1, geom.Pt(0, 0), 250)
-	mgr.router.Source = &MediumSource{
-		Medium: tn.medium,
-		Self:   1,
-		Pos:    func() geom.Point { return mgr.pos },
-		Range:  func() float64 { return mgr.rng },
-	}
+	mgr.router.Source = &MediumSource{Medium: tn.medium, Self: 1, Host: mgr}
 	for i := 0; i < 5; i++ {
 		tn.add(radio.NodeID(i+2), geom.Pt(50+float64(i)*50, 0), 63)
 	}

@@ -18,18 +18,22 @@ type Neighbor struct {
 
 // NeighborTable tracks a node's one-hop neighbors in a slice kept in
 // ascending ID order: lookups binary-search it, and iteration order is
-// deterministic without sorting. Create tables with NewNeighborTable.
+// deterministic without sorting. The zero NeighborTable is an empty,
+// ready-to-use table; Reserve sizes it ahead of its first insertion.
 type NeighborTable struct {
 	entries []Neighbor
 }
 
-// initialTableCap is the capacity of a table's first allocation: at the
-// paper's density a sensor has about 15 neighbors, so the slice reaches
-// its size in one or two growth steps instead of five.
-const initialTableCap = 8
+// Reserve makes room for n entries without regrowth; it never shrinks
+// the table and never changes its contents.
+func (t *NeighborTable) Reserve(n int) {
+	if n > cap(t.entries) {
+		t.entries = slices.Grow(t.entries, n-len(t.entries))
+	}
+}
 
-// NewNeighborTable returns an empty table.
-func NewNeighborTable() *NeighborTable { return &NeighborTable{} }
+// Cap reports how many entries the table holds before its storage grows.
+func (t *NeighborTable) Cap() int { return cap(t.entries) }
 
 // find returns the index of id's entry, or where it would be inserted,
 // and whether it is present.
@@ -50,14 +54,11 @@ func (t *NeighborTable) find(id radio.NodeID) (int, bool) {
 func (t *NeighborTable) Upsert(id radio.NodeID, loc geom.Point, now sim.Time) {
 	n := Neighbor{ID: id, Loc: loc, LastHeard: now}
 	i, ok := t.find(id)
-	switch {
-	case ok:
+	if ok {
 		t.entries[i] = n
-	case t.entries == nil:
-		t.entries = append(make([]Neighbor, 0, initialTableCap), n)
-	default:
-		t.entries = slices.Insert(t.entries, i, n)
+		return
 	}
+	t.entries = slices.Insert(t.entries, i, n)
 }
 
 // Remove deletes a neighbor (e.g. after its failure is detected).

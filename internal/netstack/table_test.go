@@ -11,7 +11,7 @@ import (
 )
 
 func TestTableUpsertGetRemove(t *testing.T) {
-	tb := NewNeighborTable()
+	tb := &NeighborTable{}
 	tb.Upsert(1, geom.Pt(1, 2), 10)
 	n, ok := tb.Get(1)
 	if !ok || !n.Loc.Eq(geom.Pt(1, 2)) || n.LastHeard != 10 {
@@ -32,7 +32,7 @@ func TestTableUpsertGetRemove(t *testing.T) {
 }
 
 func TestTableTouch(t *testing.T) {
-	tb := NewNeighborTable()
+	tb := &NeighborTable{}
 	tb.Upsert(1, geom.Pt(1, 1), 5)
 	if !tb.Touch(1, 50) {
 		t.Fatal("Touch of existing entry reported false")
@@ -47,7 +47,7 @@ func TestTableTouch(t *testing.T) {
 }
 
 func TestTablePurge(t *testing.T) {
-	tb := NewNeighborTable()
+	tb := &NeighborTable{}
 	tb.Upsert(3, geom.Pt(0, 0), 10)
 	tb.Upsert(1, geom.Pt(0, 0), 5)
 	tb.Upsert(2, geom.Pt(0, 0), 40)
@@ -61,7 +61,7 @@ func TestTablePurge(t *testing.T) {
 }
 
 func TestTableAllSorted(t *testing.T) {
-	tb := NewNeighborTable()
+	tb := &NeighborTable{}
 	for _, id := range []radio.NodeID{5, 2, 9, 1} {
 		tb.Upsert(id, geom.Pt(float64(id), 0), 0)
 	}
@@ -81,7 +81,7 @@ func TestTableAllSorted(t *testing.T) {
 func TestTableMatchesMapModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		r := rng.New(seed)
-		tb := NewNeighborTable()
+		tb := &NeighborTable{}
 		model := map[radio.NodeID]Neighbor{}
 		now := sim.Time(0)
 		for op := 0; op < 2000; op++ {
@@ -139,7 +139,7 @@ func TestTableMatchesMapModel(t *testing.T) {
 }
 
 func TestFlooderDeduplication(t *testing.T) {
-	f := NewFlooder()
+	var f Flooder
 	m := FloodMsg{Origin: 7, Seq: 1}
 	if !f.Fresh(m) {
 		t.Fatal("first copy should be fresh")
@@ -158,8 +158,11 @@ func TestFlooderDeduplication(t *testing.T) {
 	}
 }
 
-func TestFlooderLastSeqAndReset(t *testing.T) {
-	f := NewFlooder()
+func TestFlooderLastSeq(t *testing.T) {
+	var f Flooder
+	if _, ok := f.LastSeq(1); ok {
+		t.Fatal("zero flooder should know no origin")
+	}
 	f.Fresh(FloodMsg{Origin: 1, Seq: 5})
 	if s, ok := f.LastSeq(1); !ok || s != 5 {
 		t.Fatalf("LastSeq = %d, %v", s, ok)
@@ -167,12 +170,28 @@ func TestFlooderLastSeqAndReset(t *testing.T) {
 	if _, ok := f.LastSeq(2); ok {
 		t.Fatal("unknown origin should report !ok")
 	}
-	f.Reset()
-	if _, ok := f.LastSeq(1); ok {
-		t.Fatal("Reset kept state")
+}
+
+// TestTableReserveSizesOnce pins the sizing contract sensors rely on:
+// after Reserve(n), n insertions never regrow the table, and Reserve
+// neither shrinks a table nor changes its entries.
+func TestTableReserveSizesOnce(t *testing.T) {
+	var tb NeighborTable
+	tb.Reserve(12)
+	c := tb.Cap()
+	if c < 12 {
+		t.Fatalf("Cap after Reserve(12) = %d", c)
 	}
-	if !f.Fresh(FloodMsg{Origin: 1, Seq: 1}) {
-		t.Fatal("post-reset seq 1 should be fresh")
+	for id := radio.NodeID(12); id >= 1; id-- {
+		tb.Upsert(id, geom.Pt(float64(id), 0), 0)
+		if tb.Cap() != c {
+			t.Fatalf("insertion %d regrew the table: cap %d -> %d", 13-id, c, tb.Cap())
+		}
+	}
+	before := slices.Clone(tb.All())
+	tb.Reserve(4)
+	if tb.Cap() != c || !slices.Equal(tb.All(), before) {
+		t.Fatalf("Reserve below Len changed the table: cap %d, entries %v", tb.Cap(), tb.All())
 	}
 }
 
@@ -189,7 +208,7 @@ func TestRouteModeString(t *testing.T) {
 // TableSource.RoutingNeighbors through the NeighborSource interface the
 // router calls, return the table's own entries without copying them.
 func TestTableViewDoesNotAllocate(t *testing.T) {
-	tb := NewNeighborTable()
+	tb := &NeighborTable{}
 	for id := radio.NodeID(1); id <= 20; id++ {
 		tb.Upsert(id, geom.Pt(float64(id), 0), 0)
 	}

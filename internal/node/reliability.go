@@ -257,10 +257,11 @@ func (s *Sensor) reportAfter(failed radio.NodeID, loc geom.Point, now sim.Time, 
 	p.ev = s.sched.After(grace, func() { s.resend(rep.Seq) })
 }
 
-// deliverPacket handles routed packets addressed to this sensor. In the
-// paper's model sensors are never packet destinations; the reliability
-// extension routes report acks back to the reporting guardian.
-func (s *Sensor) deliverPacket(p netstack.Packet) {
+// DeliverPacket implements netstack.Host: it handles routed packets
+// addressed to this sensor. In the paper's model sensors are never packet
+// destinations; the reliability extension routes report acks back to the
+// reporting guardian.
+func (s *Sensor) DeliverPacket(p netstack.Packet) {
 	if !s.alive {
 		return
 	}
@@ -327,7 +328,7 @@ func (s *Sensor) adoptManager(t wire.ManagerTakeover, now sim.Time) {
 	tr.heard = now
 	tr.known = true
 	if s.pos.Dist(t.Loc) <= s.cfg.Range {
-		s.table.Upsert(t.Manager, t.Loc, now)
+		s.upsertNeighbor(t.Manager, t.Loc, now)
 	}
 	s.SetTarget(t.Manager, t.Loc)
 }

@@ -95,21 +95,30 @@ type robotTrack struct {
 	known bool
 }
 
+// robotTableSlots is the room a sensor's neighbor table keeps for robots
+// beyond its static neighbors: robots pass through a sensor's range one or
+// two at a time at the paper's fleet sizes.
+const robotTableSlots = 2
+
 // Sensor is one static sensor node.
+//
+// A field holds one Sensor per deployed node, so the struct keeps only
+// per-node state: the world-wide Config and Hooks are shared through
+// pointers, and the neighbor table, flooder and router are held inline.
 type Sensor struct {
 	id     radio.NodeID
 	pos    geom.Point
-	cfg    Config
+	cfg    *Config // shared by the world's sensors; never written
 	policy Policy
-	hooks  Hooks
+	hooks  *Hooks // shared by the world's sensors
 
 	medium *radio.Medium
 	sched  *sim.Scheduler
 
 	alive   bool
-	table   *netstack.NeighborTable
-	router  *netstack.Router
-	flooder *netstack.Flooder
+	table   netstack.NeighborTable
+	router  netstack.Router
+	flooder netstack.Flooder
 	ticker  *sim.Ticker
 
 	guardian     radio.NodeID // 0 when none
@@ -130,10 +139,16 @@ type Sensor struct {
 	manager     radio.NodeID              // current manager, exempt from expiry
 }
 
-var _ radio.Station = (*Sensor)(nil)
+var (
+	_ radio.Station = (*Sensor)(nil)
+	_ netstack.Host = (*Sensor)(nil)
+)
 
-// NewSensor constructs a sensor; call Start to boot it.
-func NewSensor(id radio.NodeID, pos geom.Point, cfg Config, policy Policy, medium *radio.Medium, hooks Hooks) *Sensor {
+// NewSensor constructs a sensor; call Start to boot it. cfg and hooks are
+// shared, not copied: the caller must not change a Config once a sensor
+// holds it (build a new one instead), and one Config and Hooks may serve
+// every sensor of a field.
+func NewSensor(id radio.NodeID, pos geom.Point, cfg *Config, policy Policy, medium *radio.Medium, hooks *Hooks) *Sensor {
 	s := &Sensor{
 		id:      id,
 		pos:     pos,
@@ -143,26 +158,16 @@ func NewSensor(id radio.NodeID, pos geom.Point, cfg Config, policy Policy, mediu
 		medium:  medium,
 		sched:   medium.Scheduler(),
 		alive:   true,
-		table:   netstack.NewNeighborTable(),
-		flooder: netstack.NewFlooder(),
 		manager: cfg.Reliability.Manager,
 	}
 	if cfg.Reliability.RetryEnabled() {
 		s.pending = make(map[uint64]*pendingReport)
 	}
-	s.router = &netstack.Router{
-		ID:      id,
-		Pos:     func() geom.Point { return s.pos },
-		Range:   func() float64 { return s.cfg.Range },
-		Medium:  medium,
-		Source:  netstack.TableSource{Table: s.table},
-		Deliver: s.deliverPacket,
-		OnDrop: func(p netstack.Packet, r netstack.DropReason) {
-			s.medium.Metrics().CountTx("drop_"+string(r), 1)
-			if s.hooks.OnReportDropped != nil {
-				s.hooks.OnReportDropped(p, r)
-			}
-		},
+	s.router = netstack.Router{
+		ID:     id,
+		Host:   s,
+		Medium: medium,
+		Source: netstack.TableSource{Table: &s.table},
 	}
 	return s
 }
@@ -172,6 +177,10 @@ func (s *Sensor) ID() radio.NodeID { return s.id }
 
 // Pos returns the sensor's (fixed) location.
 func (s *Sensor) Pos() geom.Point { return s.pos }
+
+// Config returns the configuration the sensor was built with. It is shared
+// with other sensors and must not be modified.
+func (s *Sensor) Config() *Config { return s.cfg }
 
 // Alive reports whether the sensor is operational.
 func (s *Sensor) Alive() bool { return s.alive }
@@ -243,7 +252,18 @@ func (s *Sensor) upsertGuardee(id radio.NodeID, loc geom.Point, now sim.Time) {
 }
 
 // Table exposes the neighbor table (used by tests and diagnostics).
-func (s *Sensor) Table() *netstack.NeighborTable { return s.table }
+func (s *Sensor) Table() *netstack.NeighborTable { return &s.table }
+
+// upsertNeighbor records a neighbor in the table. The first insertion
+// sizes the table once for the sensor's whole neighborhood: a static
+// sensor only ever hears the static stations of its radio set, plus the
+// robots passing through.
+func (s *Sensor) upsertNeighbor(id radio.NodeID, loc geom.Point, now sim.Time) {
+	if s.table.Cap() == 0 {
+		s.table.Reserve(s.medium.StaticDegree(s.id) + robotTableSlots)
+	}
+	s.table.Upsert(id, loc, now)
+}
 
 // KnowsRobot reports the last location the sensor heard for a robot.
 func (s *Sensor) KnowsRobot(id radio.NodeID) (geom.Point, bool) {
@@ -289,6 +309,15 @@ func (s *Sensor) RadioRange() float64 { return s.cfg.Range }
 
 // RadioActive implements radio.Station.
 func (s *Sensor) RadioActive() bool { return s.alive }
+
+// DropPacket implements netstack.Host: a routed packet discarded with this
+// sensor as its relay.
+func (s *Sensor) DropPacket(p netstack.Packet, r netstack.DropReason) {
+	s.medium.Metrics().CountTx("drop_"+string(r), 1)
+	if s.hooks.OnReportDropped != nil {
+		s.hooks.OnReportDropped(p, r)
+	}
+}
 
 // Start attaches the sensor to the medium and boots it: it announces its
 // location (one-hop) after announceOffset — so that every station of the
@@ -412,7 +441,7 @@ func (s *Sensor) tick() {
 	for _, id := range s.table.Purge(deadline) {
 		if tr := s.robotAt(id); tr != nil {
 			if s.pos.Dist(tr.loc) <= s.cfg.Range {
-				s.table.Upsert(id, tr.loc, now)
+				s.upsertNeighbor(id, tr.loc, now)
 			}
 		}
 	}
@@ -540,7 +569,7 @@ func (s *Sensor) HandleFrame(f radio.Frame) {
 func (s *Sensor) hearNeighbor(from radio.NodeID, loc geom.Point, now sim.Time) {
 	if s.pos.Dist(loc) <= s.cfg.Range {
 		// Only bidirectionally reachable peers are usable next hops.
-		s.table.Upsert(from, loc, now)
+		s.upsertNeighbor(from, loc, now)
 	}
 	if i := s.guardeeAt(from); i >= 0 {
 		s.guardees[i].lastHeard = now
@@ -564,7 +593,7 @@ func (s *Sensor) noteRobot(up wire.RobotUpdate, now sim.Time) {
 	}
 	*tr = robotTrack{loc: up.Loc, seq: up.Seq, heard: now, known: true}
 	if s.pos.Dist(up.Loc) <= s.cfg.Range {
-		s.table.Upsert(up.Robot, up.Loc, now)
+		s.upsertNeighbor(up.Robot, up.Loc, now)
 	} else {
 		s.table.Remove(up.Robot)
 	}

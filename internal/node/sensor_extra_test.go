@@ -18,7 +18,7 @@ func efficientConfig() Config {
 }
 
 func (h *harness) addSensorCfg(id radio.NodeID, pos geom.Point, cfg Config, policy Policy) *Sensor {
-	s := NewSensor(id, pos, cfg, policy, h.medium, Hooks{})
+	s := NewSensor(id, pos, &cfg, policy, h.medium, &Hooks{})
 	h.sensors = append(h.sensors, s)
 	s.Start(0.1, 1, false)
 	return s
@@ -160,5 +160,23 @@ func TestDynamicTargetSwitchesAsRobotsMove(t *testing.T) {
 	flood(91, geom.Pt(300, 0), 2)
 	if id, _ := s.Target(); id != 90 {
 		t.Fatalf("target = %v, want 90 after 91 left", id)
+	}
+}
+
+// TestNewSensorAllocatesOnlyItself pins a sensor's construction footprint:
+// with reliability off, NewSensor makes one allocation, the Sensor itself.
+// The Config and Hooks are shared, and the table, flooder and router live
+// inline, their storage made on first use.
+func TestNewSensorAllocatesOnlyItself(t *testing.T) {
+	h := newHarness()
+	cfg := testConfig()
+	hooks := &Hooks{}
+	id := radio.NodeID(1)
+	allocs := testing.AllocsPerRun(100, func() {
+		NewSensor(id, geom.Pt(10, 10), &cfg, allowAll{}, h.medium, hooks)
+		id++
+	})
+	if allocs != 1 {
+		t.Fatalf("NewSensor: %v allocs, want 1", allocs)
 	}
 }

@@ -81,7 +81,8 @@ func newHarness() *harness {
 
 // addSensor creates and boots a sensor at pos with the given policy.
 func (h *harness) addSensor(id radio.NodeID, pos geom.Point, policy Policy, hooks Hooks) *Sensor {
-	s := NewSensor(id, pos, testConfig(), policy, h.medium, hooks)
+	cfg := testConfig()
+	s := NewSensor(id, pos, &cfg, policy, h.medium, &hooks)
 	h.sensors = append(h.sensors, s)
 	s.Start(0.1, 1, false)
 	return s
@@ -213,7 +214,8 @@ func TestReplacementAnnouncementTriggersBeacons(t *testing.T) {
 	h.sched.Run(20)
 	before := h.reg.Tx(metrics.CatReplacement)
 	// Boot a replacement node adjacent to both.
-	r := NewSensor(50, geom.Pt(15, 0), testConfig(), allowAll{}, h.medium, Hooks{})
+	cfg := testConfig()
+	r := NewSensor(50, geom.Pt(15, 0), &cfg, allowAll{}, h.medium, &Hooks{})
 	r.Start(0, 1, true)
 	h.sched.Run(21)
 	// Announce (1) + two neighbor beacons (2) = 3 replacement transmissions.

@@ -74,6 +74,28 @@ func (m *Medium) appendMobile(dst []neighbor, id NodeID, p geom.Point, r2 float6
 	return append(dst, neighbor{id: id, st: st})
 }
 
+// StaticDegree returns the size of the static set that id's broadcasts are
+// served from: the static stations, active or not, within its range of its
+// position. A static sender's neighborhood is fixed, so this bounds the
+// peers it can ever hear at once. The set is built now when the sender has
+// none yet, and its first broadcast then reuses it. It returns 0 for a
+// mobile or unattached station.
+//
+// A station may call it from inside a delivery: a build only appends to
+// the arena, and no broadcast reads the arena while it delivers (its
+// receivers were copied into its delivery buffer first).
+func (m *Medium) StaticDegree(id NodeID) int {
+	st := m.station(id)
+	if st == nil || m.mobile[id] {
+		return 0
+	}
+	r := st.RadioRange()
+	if r <= 0 {
+		return 0
+	}
+	return int(m.staticSetOf(id, m.pos[id], r).n)
+}
+
 // staticSetOf returns the static set of sender id for range r, building it
 // from the grid when the sender has none for that range. A rebuilt set
 // reuses its old slot when it fits and otherwise moves to the arena's end.

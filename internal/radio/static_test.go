@@ -185,3 +185,69 @@ func TestStaticCacheMatchesGrid(t *testing.T) {
 		}
 	}
 }
+
+// TestStaticDegreeReentrant calls StaticDegree from inside deliveries —
+// how a sensor sizes its neighbor table on the first frame it hears —
+// while broadcasts from senders with no set yet are still delivering. The
+// builds it triggers grow and reallocate the arena mid-delivery; every
+// broadcast must still reach exactly the grid query's receivers in the
+// grid query's order, and every degree must equal a brute-force count of
+// the static stations in range.
+func TestStaticDegreeReentrant(t *testing.T) {
+	const side, sensors, robots = 400.0, 200, 4
+	m, _, _ := newTestMedium(Config{CellSize: 63})
+	log := &deliveryLog{got: map[int][]NodeID{}}
+	m.SetAuditor(log)
+	rng := gridRNG(0x5EED)
+	var all []*cacheStation
+	brute := func(s *cacheStation) int {
+		n := 0
+		for _, o := range all {
+			if o.id != s.id && !o.mobile && s.pos.Dist2(o.pos) <= s.rng*s.rng {
+				n++
+			}
+		}
+		return n
+	}
+	calls := 0
+	recv := func(s *cacheStation, _ Frame) {
+		if s.mobile {
+			if got := m.StaticDegree(s.id); got != 0 {
+				t.Errorf("mobile station %d: StaticDegree = %d, want 0", s.id, got)
+			}
+			return
+		}
+		calls++
+		if got, want := m.StaticDegree(s.id), brute(s); got != want {
+			t.Errorf("station %d: StaticDegree = %d, want %d", s.id, got, want)
+		}
+	}
+	for i := 0; i < sensors+robots; i++ {
+		s := &cacheStation{
+			id: NodeID(i), pos: geom.Pt(rng.float()*side, rng.float()*side),
+			rng: 63, mobile: i >= sensors, recv: recv,
+		}
+		all = append(all, s)
+		m.Attach(s)
+	}
+	if got := m.StaticDegree(NodeID(len(all))); got != 0 {
+		t.Fatalf("unattached station: StaticDegree = %d, want 0", got)
+	}
+	want := map[int][]NodeID{}
+	for seq, s := range all {
+		var ids []NodeID
+		for _, n := range m.inRangeAppend(nil, m.posOf(s.id), s.rng, s.id) {
+			ids = append(ids, n.id)
+		}
+		want[seq] = ids
+		m.Send(Frame{Src: s.id, Dst: IDBroadcast, Category: "x", Payload: relayMsg{seq: seq}})
+	}
+	if calls == 0 {
+		t.Fatal("no delivery called StaticDegree")
+	}
+	for seq := range all {
+		if !slices.Equal(log.got[seq], want[seq]) {
+			t.Fatalf("frame %d: receivers %v, want %v", seq, log.got[seq], want[seq])
+		}
+	}
+}

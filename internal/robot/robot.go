@@ -134,7 +134,8 @@ type Robot struct {
 
 	medium *radio.Medium
 	sched  *sim.Scheduler
-	router *netstack.Router
+	router netstack.Router
+	source netstack.MediumSource
 
 	// Kinematics: while moving, position is interpolated from anchor.
 	anchor     geom.Point
@@ -194,7 +195,10 @@ type Robot struct {
 	outstanding    map[radio.NodeID]*outDispatch // managing role: issued requests by failed ID
 }
 
-var _ radio.Station = (*Robot)(nil)
+var (
+	_ radio.Station = (*Robot)(nil)
+	_ netstack.Host = (*Robot)(nil)
+)
 
 // New constructs a robot at pos; call Start to attach it to the medium.
 func New(id radio.NodeID, pos geom.Point, cfg Config, mode UpdateMode, medium *radio.Medium, hooks Hooks) *Robot {
@@ -223,22 +227,8 @@ func New(id radio.NodeID, pos geom.Point, cfg Config, mode UpdateMode, medium *r
 		r.bat = energy.NewBattery(cfg.Battery.CapacityJ)
 		r.batAt = r.sched.Now()
 	}
-	r.router = &netstack.Router{
-		ID:     id,
-		Pos:    r.Pos,
-		Range:  func() float64 { return r.cfg.Range },
-		Medium: medium,
-		Source: &netstack.MediumSource{
-			Medium: medium,
-			Self:   id,
-			Pos:    r.Pos,
-			Range:  func() float64 { return r.cfg.Range },
-		},
-		Deliver: r.deliver,
-		OnDrop: func(p netstack.Packet, reason netstack.DropReason) {
-			medium.Metrics().CountTx("drop_"+string(reason), 1)
-		},
-	}
+	r.source = netstack.MediumSource{Medium: medium, Self: id, Host: r}
+	r.router = netstack.Router{ID: id, Host: r, Medium: medium, Source: &r.source}
 	return r
 }
 
@@ -282,7 +272,7 @@ func (r *Robot) Restocks() int { return r.restocks }
 func (r *Robot) ReplayRejected() uint64 { return r.replayRejected }
 
 // Router exposes the robot's router (the central manager role reuses it).
-func (r *Robot) Router() *netstack.Router { return r.router }
+func (r *Robot) Router() *netstack.Router { return &r.router }
 
 // RadioID implements radio.Station.
 func (r *Robot) RadioID() radio.NodeID { return r.id }
@@ -399,8 +389,14 @@ func (r *Robot) HandleFrame(f radio.Frame) {
 	}
 }
 
-// deliver handles packets addressed to this robot.
-func (r *Robot) deliver(p netstack.Packet) {
+// DropPacket implements netstack.Host.
+func (r *Robot) DropPacket(_ netstack.Packet, reason netstack.DropReason) {
+	r.medium.Metrics().CountTx("drop_"+string(reason), 1)
+}
+
+// DeliverPacket implements netstack.Host: it handles packets addressed to
+// this robot.
+func (r *Robot) DeliverPacket(p netstack.Packet) {
 	if r.failed {
 		return
 	}

@@ -110,9 +110,9 @@ func (w *World) counterState(b []byte) []byte {
 	b = checkpoint.AppendBool(b, w.dupRepair)
 	b = checkpoint.AppendI64(b, int64(w.dupRepairs))
 	b = checkpoint.AppendI64(b, int64(w.nextID))
-	// relNode.Manager is rewritten by takeover elections; the rest of
-	// relNode is pure config.
-	b = checkpoint.AppendI64(b, int64(w.relNode.Manager))
+	// The sensor Config's manager is rewritten by takeover elections; the
+	// rest of it is pure config.
+	b = checkpoint.AppendI64(b, int64(w.sensorCfg.Reliability.Manager))
 
 	ids := make([]radio.NodeID, 0, len(w.requeuedAt))
 	for id := range w.requeuedAt {

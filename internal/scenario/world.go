@@ -51,8 +51,14 @@ type World struct {
 	requestsDelivered int
 	repairs           int
 
+	// sensorCfg and sensorHooks are shared by every sensor of the field.
+	// A sensor keeps the Config it was built with, so a change (a takeover
+	// electing a new manager) swaps in a fresh copy for later sensors and
+	// never writes through the pointer.
+	sensorCfg   *node.Config
+	sensorHooks *node.Hooks
+
 	// Reliability/fault state (robustness extension).
-	relNode        node.Reliability // sensor-side knobs; zero when disabled
 	strandedTasks  int
 	requeuedTasks  int
 	reportRetx     int
@@ -261,8 +267,9 @@ func New(cfg Config) (*World, error) {
 	w.policy = strat.Policy()
 	mode := strat.UpdateMode()
 
+	var relNode node.Reliability // sensor-side knobs; zero when disabled
 	if rel.Enabled {
-		w.relNode = node.Reliability{
+		relNode = node.Reliability{
 			RetryBase:     sim.Duration(rel.ReportRetryS),
 			RetryMax:      sim.Duration(rel.ReportRetryMaxS),
 			RetryLimit:    rel.ReportRetryLimit,
@@ -272,11 +279,22 @@ func New(cfg Config) (*World, error) {
 			WatchGrace:    sim.Duration(rel.WatchGraceS),
 		}
 		if strat.CentralDispatch() {
-			w.relNode.Manager = managerID
+			relNode.Manager = managerID
 		}
 		w.requeuedAt = make(map[radio.NodeID]sim.Time)
 		w.siteIDs = make(map[geom.Point][]radio.NodeID)
 	}
+	w.sensorCfg = &node.Config{
+		Range:              cfg.SensorRange,
+		BeaconPeriod:       sim.Duration(cfg.BeaconPeriod),
+		MissedBeacons:      cfg.MissedBeacons,
+		SettleDelay:        settleDelay,
+		FloodTTL:           core.FloodTTL,
+		EfficientBroadcast: cfg.EfficientBroadcast,
+		Reliability:        relNode,
+		StrictSeq:          hostile,
+	}
+	w.sensorHooks = w.newSensorHooks()
 
 	// Deploy the initial sensor population. The deploy stream is shared
 	// with robot placement (RobotStart draws from it after the sensors),
@@ -369,7 +387,11 @@ func New(cfg Config) (*World, error) {
 		},
 		OnTakeover: func(r *robot.Robot) {
 			w.takeovers++
-			w.relNode.Manager = r.ID() // future replacement sensors track the elected manager
+			// Future replacement sensors track the elected manager; the
+			// sensors already built keep the Config they hold.
+			c := *w.sensorCfg
+			c.Reliability.Manager = r.ID()
+			w.sensorCfg = &c
 			w.trace(trace.Event{
 				At: sched.Now(), Kind: trace.KindTakeover,
 				Node: r.ID(), Actor: r.ID(), Loc: r.Pos(),
@@ -647,26 +669,10 @@ func (w *World) trace(e trace.Event) {
 	}
 }
 
-// sensorConfig derives the node.Config from the scenario configuration.
-func (w *World) sensorConfig() node.Config {
-	return node.Config{
-		Range:              w.Cfg.SensorRange,
-		BeaconPeriod:       sim.Duration(w.Cfg.BeaconPeriod),
-		MissedBeacons:      w.Cfg.MissedBeacons,
-		SettleDelay:        settleDelay,
-		FloodTTL:           core.FloodTTL,
-		EfficientBroadcast: w.Cfg.EfficientBroadcast,
-		Reliability:        w.relNode,
-		StrictSeq:          w.hostile,
-	}
-}
-
-// spawnSensor creates, registers, arms, and boots one sensor. For
-// replacements, target/targetLoc seed the new node's report destination.
-func (w *World) spawnSensor(pos geom.Point, jitter *rng.Source, replacement bool, target radio.NodeID, targetLoc geom.Point) *node.Sensor {
-	id := w.nextID
-	w.nextID++
-	hooks := node.Hooks{
+// newSensorHooks builds the one Hooks value every sensor of the field
+// shares.
+func (w *World) newSensorHooks() *node.Hooks {
+	hooks := &node.Hooks{
 		OnReportSent: func(rep wire.FailureReport) {
 			w.reportsSent++
 			if w.inv != nil && rep.Seq > 0 {
@@ -699,7 +705,15 @@ func (w *World) spawnSensor(pos geom.Point, jitter *rng.Source, replacement bool
 			w.inv.ReportAcked(ack.Reporter, ack.Seq)
 		}
 	}
-	s := node.NewSensor(id, pos, w.sensorConfig(), w.policy, w.Medium, hooks)
+	return hooks
+}
+
+// spawnSensor creates, registers, arms, and boots one sensor. For
+// replacements, target/targetLoc seed the new node's report destination.
+func (w *World) spawnSensor(pos geom.Point, jitter *rng.Source, replacement bool, target radio.NodeID, targetLoc geom.Point) *node.Sensor {
+	id := w.nextID
+	w.nextID++
+	s := node.NewSensor(id, pos, w.sensorCfg, w.policy, w.Medium, w.sensorHooks)
 	if replacement {
 		s.SetTarget(target, targetLoc)
 	}
