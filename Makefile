@@ -28,32 +28,35 @@ bench:
 # Machine-readable benchmark record for the per-PR perf ratchet (see
 # DESIGN.md §12.3): runs the end-to-end throughput bench (bare and with
 # the flight recorder armed), the 10k-sensor world build, plus the kernel,
-# radio (ideal and contended) and wire-codec microbenches, and writes the
-# parsed metrics to BENCH_PR17.json.
+# radio (ideal and contended), wire-codec and sensor steady-state
+# microbenches, and writes the parsed metrics to BENCH_PR19.json.
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput$$|BenchmarkSimulatorThroughputFTDC|BenchmarkWorldBuild' -benchmem -benchtime 3x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkSchedulerHotLoop$$|BenchmarkSchedulerChurn' -benchmem ./internal/sim ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkNeighborsDense|BenchmarkMediumBroadcast$$|BenchmarkContendedSend' -benchmem ./internal/radio ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkFrameBroadcast' -benchmem ./internal/wire ; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_PR17.json
-	@echo "wrote BENCH_PR17.json"
+	  $(GO) test -run '^$$' -bench 'BenchmarkFrameBroadcast' -benchmem ./internal/wire ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkSensorSteadyState' -benchmem ./internal/node ; } \
+	| $(GO) run ./cmd/benchjson -o BENCH_PR19.json
+	@echo "wrote BENCH_PR19.json"
 
 # Fast allocation check on the hot-path benchmarks only (seconds, not
 # minutes): scheduler churn, medium broadcast, a codec broadcast, a
-# contended codec unicast plus broadcast, end-to-end throughput and the
-# 10k-sensor world build. The ceilings are the perf ratchet — a
+# contended codec unicast plus broadcast, a sensor field's beacon period,
+# end-to-end throughput and the 10k-sensor world build. The ceilings are the perf ratchet — a
 # regression past a previously banked number fails the build.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSchedulerChurn|BenchmarkMediumBroadcast$$|BenchmarkMediumUnicast' -benchtime 1000x ./internal/sim ./internal/radio
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput$$|BenchmarkSimulatorThroughputFTDC|BenchmarkWorldBuild' -benchmem -benchtime 2x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkSchedulerChurn' -benchmem -benchtime 100000x ./internal/sim ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkNeighborsDense|BenchmarkMediumBroadcast$$|BenchmarkContendedSend' -benchmem -benchtime 10000x ./internal/radio ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkFrameBroadcast' -benchmem -benchtime 10000x ./internal/wire ; } \
+	  $(GO) test -run '^$$' -bench 'BenchmarkFrameBroadcast' -benchmem -benchtime 10000x ./internal/wire ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkSensorSteadyState' -benchmem -benchtime 100x ./internal/node ; } \
 	| $(GO) run ./cmd/benchjson -o /dev/null \
-		-ceiling 'BenchmarkSimulatorThroughput=allocs/op<=130000' \
-		-ceiling 'BenchmarkSimulatorThroughputFTDC=allocs/op<=130000' \
+		-ceiling 'BenchmarkSimulatorThroughput=allocs/op<=36900' \
+		-ceiling 'BenchmarkSimulatorThroughputFTDC=allocs/op<=36900' \
 		-ceiling 'BenchmarkWorldBuild=allocs/op<=123000' \
-		-ceiling 'BenchmarkWorldBuild=B/op<=12550000' \
+		-ceiling 'BenchmarkWorldBuild=B/op<=12200000' \
+		-ceiling 'BenchmarkSensorSteadyState=allocs/op<=0' \
 		-ceiling 'BenchmarkSchedulerChurn=allocs/op<=0' \
 		-ceiling 'BenchmarkNeighborsDense=allocs/op<=0' \
 		-ceiling 'BenchmarkMediumBroadcast=allocs/op<=0' \

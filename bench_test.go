@@ -219,8 +219,9 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // density (16 robots, 625 sensors each, on a 200 m per 50 sensors scale):
 // world construction, no simulated time. allocs/op and B/op are the
 // tracked numbers: a sensor shares the world's config and hooks, holds
-// its table, flooder and router inline, and sizes its table on first use,
-// so constructing it is one allocation; the rest of a sensor's share is
+// its table inline, builds its router per use, and sizes its table and
+// boxes its beacon on first use, so constructing it is one allocation;
+// the rest of a sensor's share is
 // its boot events (announce, guardian selection, beacon ticker, lifetime).
 func BenchmarkWorldBuild(b *testing.B) {
 	cfg := roborepair.DefaultConfig()

@@ -1,11 +1,6 @@
 package netstack
 
-import (
-	"sort"
-
-	"roborepair/internal/checkpoint"
-	"roborepair/internal/radio"
-)
+import "roborepair/internal/checkpoint"
 
 // AppendState serializes the table's entries in ascending ID order
 // (checkpoint section payload).
@@ -17,22 +12,6 @@ func (t *NeighborTable) AppendState(b []byte) []byte {
 		b = checkpoint.AppendF64(b, n.Loc.X)
 		b = checkpoint.AppendF64(b, n.Loc.Y)
 		b = checkpoint.AppendF64(b, float64(n.LastHeard))
-	}
-	return b
-}
-
-// AppendState serializes the flooder's duplicate-suppression state in
-// ascending origin order (checkpoint section payload).
-func (f *Flooder) AppendState(b []byte) []byte {
-	origins := make([]radio.NodeID, 0, len(f.seen))
-	for id := range f.seen {
-		origins = append(origins, id)
-	}
-	sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
-	b = checkpoint.AppendU32(b, uint32(len(origins)))
-	for _, id := range origins {
-		b = checkpoint.AppendI64(b, int64(id))
-		b = checkpoint.AppendU64(b, f.seen[id])
 	}
 	return b
 }

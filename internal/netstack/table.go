@@ -89,20 +89,19 @@ func (t *NeighborTable) Touch(id radio.NodeID, now sim.Time) bool {
 	return ok
 }
 
-// Purge removes entries not heard since the deadline and returns the
-// removed IDs in ascending order.
-func (t *NeighborTable) Purge(deadline sim.Time) []radio.NodeID {
-	var removed []radio.NodeID
-	kept := t.entries[:0]
-	for _, n := range t.entries {
-		if n.LastHeard < deadline {
-			removed = append(removed, n.ID)
-		} else {
-			kept = append(kept, n)
+// Purge removes the entries not heard since the deadline, except those
+// keep accepts. keep sees each stale entry in ascending ID order and may
+// refresh the entry it keeps (its location and LastHeard, never its ID).
+func (t *NeighborTable) Purge(deadline sim.Time, keep func(n *Neighbor) bool) {
+	kept := 0
+	for i := range t.entries {
+		n := &t.entries[i]
+		if n.LastHeard >= deadline || keep(n) {
+			t.entries[kept] = *n
+			kept++
 		}
 	}
-	t.entries = kept
-	return removed
+	t.entries = t.entries[:kept]
 }
 
 // All returns the table's entries in ascending ID order (deterministic

@@ -51,12 +51,28 @@ func TestTablePurge(t *testing.T) {
 	tb.Upsert(3, geom.Pt(0, 0), 10)
 	tb.Upsert(1, geom.Pt(0, 0), 5)
 	tb.Upsert(2, geom.Pt(0, 0), 40)
-	removed := tb.Purge(30)
-	if len(removed) != 2 || removed[0] != 1 || removed[1] != 3 {
-		t.Fatalf("Purge removed %v, want [1 3] sorted", removed)
+	tb.Upsert(4, geom.Pt(0, 0), 1)
+	var offered []radio.NodeID
+	tb.Purge(30, func(n *Neighbor) bool {
+		offered = append(offered, n.ID)
+		if n.ID != 3 {
+			return false
+		}
+		n.Loc, n.LastHeard = geom.Pt(7, 7), 30
+		return true
+	})
+	if !slices.Equal(offered, []radio.NodeID{1, 3, 4}) {
+		t.Fatalf("keep saw %v, want the stale [1 3 4] ascending", offered)
 	}
-	if tb.Len() != 1 {
-		t.Fatalf("Len after purge = %d", tb.Len())
+	if tb.Len() != 2 {
+		t.Fatalf("Len after purge = %d, want 2", tb.Len())
+	}
+	if n, ok := tb.Get(3); !ok || n.LastHeard != 30 || !n.Loc.Eq(geom.Pt(7, 7)) {
+		t.Fatalf("kept entry = %v, %v; want refreshed by keep", n, ok)
+	}
+	tb.Purge(35, func(*Neighbor) bool { return false })
+	if left := tb.All(); len(left) != 1 || left[0].ID != 2 {
+		t.Fatalf("purge left %v, want only 2", left)
 	}
 }
 
@@ -76,8 +92,8 @@ func TestTableAllSorted(t *testing.T) {
 // TestTableMatchesMapModel drives the table through seeded random
 // Upsert/Remove/Touch/Purge sequences against a map reference: after
 // every operation the table must hold exactly the model's entries in
-// ascending ID order, and every Purge must return the IDs the model
-// expires, ascending.
+// ascending ID order, and every Purge must offer keep exactly the IDs
+// the model finds stale, ascending.
 func TestTableMatchesMapModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		r := rng.New(seed)
@@ -105,17 +121,33 @@ func TestTableMatchesMapModel(t *testing.T) {
 					t.Fatalf("seed %d op %d: Touch(%d) = %v, model has it: %v", seed, op, id, got, ok)
 				}
 			case 7:
+				// Odd IDs are kept and refreshed, even ones expire.
 				deadline := now - sim.Time(r.Intn(60))
 				var want []radio.NodeID
 				for id, n := range model {
-					if n.LastHeard < deadline {
-						want = append(want, id)
+					if n.LastHeard >= deadline {
+						continue
+					}
+					want = append(want, id)
+					if id%2 == 1 {
+						n.LastHeard = now
+						model[id] = n
+					} else {
 						delete(model, id)
 					}
 				}
 				slices.Sort(want)
-				if got := tb.Purge(deadline); !slices.Equal(got, want) {
-					t.Fatalf("seed %d op %d: Purge(%v) = %v, want %v", seed, op, deadline, got, want)
+				var got []radio.NodeID
+				tb.Purge(deadline, func(n *Neighbor) bool {
+					got = append(got, n.ID)
+					if n.ID%2 == 0 {
+						return false
+					}
+					n.LastHeard = now
+					return true
+				})
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d op %d: Purge(%v) offered %v, want %v", seed, op, deadline, got, want)
 				}
 			}
 			all := tb.All()
@@ -135,40 +167,6 @@ func TestTableMatchesMapModel(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestFlooderDeduplication(t *testing.T) {
-	var f Flooder
-	m := FloodMsg{Origin: 7, Seq: 1}
-	if !f.Fresh(m) {
-		t.Fatal("first copy should be fresh")
-	}
-	if f.Fresh(m) {
-		t.Fatal("duplicate should not be fresh")
-	}
-	if f.Fresh(FloodMsg{Origin: 7, Seq: 0}) {
-		t.Fatal("stale lower-seq instance should not be fresh")
-	}
-	if !f.Fresh(FloodMsg{Origin: 7, Seq: 2}) {
-		t.Fatal("next seq should be fresh")
-	}
-	if !f.Fresh(FloodMsg{Origin: 8, Seq: 1}) {
-		t.Fatal("different origin should be independent")
-	}
-}
-
-func TestFlooderLastSeq(t *testing.T) {
-	var f Flooder
-	if _, ok := f.LastSeq(1); ok {
-		t.Fatal("zero flooder should know no origin")
-	}
-	f.Fresh(FloodMsg{Origin: 1, Seq: 5})
-	if s, ok := f.LastSeq(1); !ok || s != 5 {
-		t.Fatalf("LastSeq = %d, %v", s, ok)
-	}
-	if _, ok := f.LastSeq(2); ok {
-		t.Fatal("unknown origin should report !ok")
 	}
 }
 

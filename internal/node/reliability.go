@@ -1,7 +1,8 @@
 package node
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"roborepair/internal/geom"
 	"roborepair/internal/metrics"
@@ -154,7 +155,8 @@ func (s *Sensor) sendReport(p *pendingReport) {
 		}
 		p.attempts++
 		p.target = target
-		s.router.Originate(netstack.Packet{
+		r := s.router()
+		r.Originate(netstack.Packet{
 			Dst:      target,
 			DstLoc:   targetLoc,
 			Category: cat,
@@ -168,15 +170,28 @@ func (s *Sensor) sendReport(p *pendingReport) {
 	p.ev = s.sched.After(delay, func() { s.resend(p.rep.Seq) })
 }
 
+// pendingAt returns the index of the pending report numbered seq, by
+// binary search of the Seq-ascending list, or -1.
+func (s *Sensor) pendingAt(seq uint64) int {
+	i, ok := slices.BinarySearchFunc(s.pending, seq, func(p *pendingReport, seq uint64) int {
+		return cmp.Compare(p.rep.Seq, seq)
+	})
+	if !ok {
+		return -1
+	}
+	return i
+}
+
 // resend is the retransmission timer body.
 func (s *Sensor) resend(seq uint64) {
-	p, ok := s.pending[seq]
-	if !ok || !s.alive {
+	i := s.pendingAt(seq)
+	if i < 0 || !s.alive {
 		return
 	}
+	p := s.pending[i]
 	rel := s.cfg.Reliability
 	if rel.RetryLimit > 0 && p.attempts >= rel.RetryLimit {
-		delete(s.pending, seq)
+		s.pending = slices.Delete(s.pending, i, i+1)
 		if s.hooks.OnReportAbandoned != nil {
 			s.hooks.OnReportAbandoned(p.rep)
 		}
@@ -187,26 +202,17 @@ func (s *Sensor) resend(seq uint64) {
 
 // ackReport slows a pending report to the verify cadence: the dispatcher
 // owns the repair now, but the reporter keeps a lazy eye on it until the
-// site is seen alive (clearReport), in case the dispatcher's state dies
+// site is seen alive (observeRepair), in case the dispatcher's state dies
 // with it.
 func (s *Sensor) ackReport(seq uint64) {
-	p, ok := s.pending[seq]
-	if !ok {
+	i := s.pendingAt(seq)
+	if i < 0 {
 		return
 	}
+	p := s.pending[i]
 	p.acked = true
 	s.sched.Cancel(p.ev)
 	p.ev = s.sched.After(s.verifyDelay(), func() { s.resend(seq) })
-}
-
-// clearReport drops a pending report for good: the site was seen alive.
-func (s *Sensor) clearReport(seq uint64) {
-	p, ok := s.pending[seq]
-	if !ok {
-		return
-	}
-	s.sched.Cancel(p.ev)
-	delete(s.pending, seq)
 }
 
 // resyncPendings re-arms every unacked pending report with a fresh
@@ -217,21 +223,13 @@ func (s *Sensor) clearReport(seq uint64) {
 // before it escapes. Genuinely dead neighbors stay silent through the
 // grace and are reported as usual.
 func (s *Sensor) resyncPendings() {
-	if len(s.pending) == 0 {
-		return
-	}
 	grace := 2 * s.cfg.BeaconPeriod
-	seqs := make([]uint64, 0, len(s.pending))
-	for seq, p := range s.pending {
-		if !p.acked {
-			seqs = append(seqs, seq)
+	for _, p := range s.pending {
+		if p.acked {
+			continue
 		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, seq := range seqs {
-		p := s.pending[seq]
 		s.sched.Cancel(p.ev)
-		seq := seq
+		seq := p.rep.Seq
 		p.ev = s.sched.After(grace, func() { s.resend(seq) })
 	}
 }
@@ -253,7 +251,7 @@ func (s *Sensor) reportAfter(failed radio.NodeID, loc geom.Point, now sim.Time, 
 		Seq: s.reportSeq, ReporterLoc: s.pos,
 	}
 	p := &pendingReport{rep: rep}
-	s.pending[rep.Seq] = p
+	s.pending = append(s.pending, p) // Seqs only grow: stays sorted
 	p.ev = s.sched.After(grace, func() { s.resend(rep.Seq) })
 }
 
@@ -278,19 +276,17 @@ func (s *Sensor) DeliverPacket(p netstack.Packet) {
 // beacon arrived from a node at that spot (a blackout false positive
 // resurfacing, or an earlier replacement the announce of which was lost).
 func (s *Sensor) observeRepair(loc geom.Point) {
-	if len(s.pending) == 0 {
-		return
-	}
 	const eps2 = 1e-6 // replacements boot exactly at the failure location
-	var done []uint64
-	for seq, p := range s.pending {
+	kept := s.pending[:0]
+	for _, p := range s.pending {
 		if p.rep.Loc.Dist2(loc) <= eps2 {
-			done = append(done, seq)
+			s.sched.Cancel(p.ev) // cleared for good: the site was seen alive
+			continue
 		}
+		kept = append(kept, p)
 	}
-	for _, seq := range done {
-		s.clearReport(seq)
-	}
+	clear(s.pending[len(kept):])
+	s.pending = kept
 }
 
 // expireRobots drops robots unheard for RobotExpiry. A sensor whose report
@@ -303,7 +299,7 @@ func (s *Sensor) expireRobots(now sim.Time) {
 		if !tr.known || id == s.manager || tr.heard >= deadline {
 			continue
 		}
-		*tr = robotTrack{}
+		*tr = robotTrack{floodSeq: tr.floodSeq, flooded: tr.flooded}
 		s.table.Remove(id)
 		if s.target == id {
 			s.target = 0
@@ -327,7 +323,7 @@ func (s *Sensor) adoptManager(t wire.ManagerTakeover, now sim.Time) {
 	tr.loc = t.Loc
 	tr.heard = now
 	tr.known = true
-	if s.pos.Dist(t.Loc) <= s.cfg.Range {
+	if s.inRange(t.Loc) {
 		s.upsertNeighbor(t.Manager, t.Loc, now)
 	}
 	s.SetTarget(t.Manager, t.Loc)

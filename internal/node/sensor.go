@@ -85,14 +85,20 @@ type guardee struct {
 	lastHeard sim.Time
 }
 
-// robotTrack is the last accepted state for a known robot or manager.
+// robotTrack is the last accepted state for a known robot or manager, and
+// the flood duplicate suppression for that station as a flood origin.
 // Robot IDs are small and dense, so tracks live in an ID-indexed slice:
 // the per-tick scans walk contiguous memory instead of hashing map keys.
 type robotTrack struct {
 	loc   geom.Point
 	seq   uint64
 	heard sim.Time // last reception (expiry bookkeeping)
-	known bool
+	// floodSeq is the highest flood Seq handled from this origin, valid
+	// when flooded. Unlike the rest of the track it outlives expiry: a
+	// sensor relays each flood instance once, whatever it forgot since.
+	floodSeq uint64
+	known    bool
+	flooded  bool
 }
 
 // robotTableSlots is the room a sensor's neighbor table keeps for robots
@@ -104,7 +110,9 @@ const robotTableSlots = 2
 //
 // A field holds one Sensor per deployed node, so the struct keeps only
 // per-node state: the world-wide Config and Hooks are shared through
-// pointers, and the neighbor table, flooder and router are held inline.
+// pointers, the neighbor table is held inline, flood duplicate
+// suppression lives in the robot tracks, and the router is built on
+// demand from fields the sensor already has.
 type Sensor struct {
 	id     radio.NodeID
 	pos    geom.Point
@@ -115,11 +123,12 @@ type Sensor struct {
 	medium *radio.Medium
 	sched  *sim.Scheduler
 
-	alive   bool
-	table   netstack.NeighborTable
-	router  netstack.Router
-	flooder netstack.Flooder
-	ticker  *sim.Ticker
+	alive  bool
+	table  netstack.NeighborTable
+	ticker *sim.Ticker
+	// beacon is the boxed wire.Beacon every beacon sends: a static
+	// sensor's beacon never changes, so it is boxed once, on first use.
+	beacon any
 
 	guardian     radio.NodeID // 0 when none
 	lastGuardian sim.Time
@@ -127,16 +136,16 @@ type Sensor struct {
 
 	target    radio.NodeID // failure report destination
 	targetLoc geom.Point
-	robots    []robotTrack // known robots/managers by NodeID (never guardians)
+	robots    []robotTrack // robots/managers and flood origins by NodeID (never guardians)
 
 	// replayRejected counts robot updates dropped by the StrictSeq guard.
 	replayRejected uint64
 
 	// Reliability-extension state (inert at the zero Reliability config).
 	reportSeq   uint64
-	pending     map[uint64]*pendingReport // unacked reports by Seq
-	lastFrameAt sim.Time                  // last frame heard at all (deafness detection)
-	manager     radio.NodeID              // current manager, exempt from expiry
+	pending     []*pendingReport // unacked reports, Seq-ascending
+	lastFrameAt sim.Time         // last frame heard at all (deafness detection)
+	manager     radio.NodeID     // current manager, exempt from expiry
 }
 
 var (
@@ -149,7 +158,7 @@ var (
 // holds it (build a new one instead), and one Config and Hooks may serve
 // every sensor of a field.
 func NewSensor(id radio.NodeID, pos geom.Point, cfg *Config, policy Policy, medium *radio.Medium, hooks *Hooks) *Sensor {
-	s := &Sensor{
+	return &Sensor{
 		id:      id,
 		pos:     pos,
 		cfg:     cfg,
@@ -160,16 +169,32 @@ func NewSensor(id radio.NodeID, pos geom.Point, cfg *Config, policy Policy, medi
 		alive:   true,
 		manager: cfg.Reliability.Manager,
 	}
-	if cfg.Reliability.RetryEnabled() {
-		s.pending = make(map[uint64]*pendingReport)
-	}
-	s.router = netstack.Router{
-		ID:     id,
+}
+
+// router returns the sensor's geographic router. It holds nothing the
+// sensor lacks, so it is built per use rather than stored.
+func (s *Sensor) router() netstack.Router {
+	return netstack.Router{
+		ID:     s.id,
 		Host:   s,
-		Medium: medium,
+		Medium: s.medium,
 		Source: netstack.TableSource{Table: &s.table},
 	}
-	return s
+}
+
+// inRange reports whether loc is within the sensor's range, by the test
+// the radio applies to a delivery (squared distances): a peer the radio
+// delivers to is a peer the table accepts.
+func (s *Sensor) inRange(loc geom.Point) bool {
+	return s.pos.Dist2(loc) <= s.cfg.Range*s.cfg.Range
+}
+
+// beaconPayload returns the sensor's boxed beacon, boxing it on first use.
+func (s *Sensor) beaconPayload() any {
+	if s.beacon == nil {
+		s.beacon = wire.Beacon{From: s.id, Loc: s.pos}
+	}
+	return s.beacon
 }
 
 // ID returns the sensor's address.
@@ -217,7 +242,9 @@ func (s *Sensor) robotAt(id radio.NodeID) *robotTrack {
 	return &s.robots[id]
 }
 
-// robotSlot grows the track table as needed and returns id's slot.
+// robotSlot grows the track table as needed and returns id's slot. The
+// table grows to exactly id+1: sizing it to the fleet up front would cost
+// every sensor that only ever hears a few low-numbered robots.
 func (s *Sensor) robotSlot(id radio.NodeID) *robotTrack {
 	if int(id) >= len(s.robots) {
 		grown := make([]robotTrack, id+1)
@@ -379,7 +406,7 @@ func (s *Sensor) tick() {
 		Src:      s.id,
 		Dst:      radio.IDBroadcast,
 		Category: metrics.CatBeacon,
-		Payload:  wire.Beacon{From: s.id, Loc: s.pos},
+		Payload:  s.beaconPayload(),
 	})
 
 	deadline := now.Sub(s.cfg.BeaconPeriod * sim.Duration(s.cfg.MissedBeacons))
@@ -438,13 +465,14 @@ func (s *Sensor) tick() {
 	// Purge other stale neighbors so routing never picks a dead relay.
 	// Robots are exempt: they beacon on their own schedule (location
 	// updates), and purging them would orphan the last-hop delivery.
-	for _, id := range s.table.Purge(deadline) {
-		if tr := s.robotAt(id); tr != nil {
-			if s.pos.Dist(tr.loc) <= s.cfg.Range {
-				s.upsertNeighbor(id, tr.loc, now)
-			}
+	s.table.Purge(deadline, func(n *netstack.Neighbor) bool {
+		tr := s.robotAt(n.ID)
+		if tr == nil || !s.inRange(tr.loc) {
+			return false
 		}
-	}
+		n.Loc, n.LastHeard = tr.loc, now
+		return true
+	})
 	for _, n := range watch {
 		s.reportAfter(n.ID, n.Loc, now, s.cfg.Reliability.WatchGrace)
 	}
@@ -461,24 +489,24 @@ func (s *Sensor) selectGuardian() {
 	if !s.alive || s.guardian != 0 {
 		return
 	}
-	var chosen *netstack.Neighbor
-	for _, n := range s.table.All() {
+	all := s.table.All()
+	chosen := -1
+	for i, n := range all {
 		if s.robotAt(n.ID) != nil || !s.policy.GuardianOK(s.pos, n.Loc) {
 			continue
 		}
-		if chosen == nil || n.Loc.Dist2(s.pos) < chosen.Loc.Dist2(s.pos) {
-			n := n
-			chosen = &n
+		if chosen < 0 || n.Loc.Dist2(s.pos) < all[chosen].Loc.Dist2(s.pos) {
+			chosen = i
 		}
 	}
-	if chosen == nil {
+	if chosen < 0 {
 		return // isolated sensor: unguarded, as in the paper's model
 	}
-	s.guardian = chosen.ID
+	s.guardian = all[chosen].ID
 	s.lastGuardian = s.sched.Now()
 	s.medium.Send(radio.Frame{
 		Src:      s.id,
-		Dst:      chosen.ID,
+		Dst:      s.guardian,
 		Category: metrics.CatInit,
 		Payload:  wire.GuardianConfirm{From: s.id, Loc: s.pos},
 	})
@@ -494,7 +522,7 @@ func (s *Sensor) report(failed radio.NodeID, loc geom.Point, now sim.Time) {
 		rep.Seq = s.reportSeq
 		rep.ReporterLoc = s.pos
 		p := &pendingReport{rep: rep}
-		s.pending[rep.Seq] = p
+		s.pending = append(s.pending, p) // Seqs only grow: stays sorted
 		s.sendReport(p)
 		return
 	}
@@ -504,7 +532,8 @@ func (s *Sensor) report(failed radio.NodeID, loc geom.Point, now sim.Time) {
 	if s.hooks.OnReportSent != nil {
 		s.hooks.OnReportSent(rep)
 	}
-	s.router.Originate(netstack.Packet{
+	r := s.router()
+	r.Originate(netstack.Packet{
 		Dst:      s.target,
 		DstLoc:   s.targetLoc,
 		Category: metrics.CatFailureReport,
@@ -548,7 +577,7 @@ func (s *Sensor) HandleFrame(f radio.Frame) {
 				Src:      s.id,
 				Dst:      radio.IDBroadcast,
 				Category: metrics.CatReplacement,
-				Payload:  wire.Beacon{From: s.id, Loc: s.pos},
+				Payload:  s.beaconPayload(),
 			})
 		}
 	case wire.GuardianConfirm:
@@ -560,14 +589,15 @@ func (s *Sensor) HandleFrame(f radio.Frame) {
 	case netstack.FloodMsg:
 		s.handleFlood(m, now)
 	case netstack.Packet:
-		s.router.Receive(m)
+		r := s.router()
+		r.Receive(m)
 	}
 }
 
 // hearNeighbor refreshes detection and routing state for a one-hop
 // transmission from a sensor peer.
 func (s *Sensor) hearNeighbor(from radio.NodeID, loc geom.Point, now sim.Time) {
-	if s.pos.Dist(loc) <= s.cfg.Range {
+	if s.inRange(loc) {
 		// Only bidirectionally reachable peers are usable next hops.
 		s.upsertNeighbor(from, loc, now)
 	}
@@ -591,8 +621,8 @@ func (s *Sensor) noteRobot(up wire.RobotUpdate, now sim.Time) {
 		s.replayRejected++
 		return
 	}
-	*tr = robotTrack{loc: up.Loc, seq: up.Seq, heard: now, known: true}
-	if s.pos.Dist(up.Loc) <= s.cfg.Range {
+	tr.loc, tr.seq, tr.heard, tr.known = up.Loc, up.Seq, now, true
+	if s.inRange(up.Loc) {
 		s.upsertNeighbor(up.Robot, up.Loc, now)
 	} else {
 		s.table.Remove(up.Robot)
@@ -602,13 +632,34 @@ func (s *Sensor) noteRobot(up wire.RobotUpdate, now sim.Time) {
 	}
 }
 
+// freshFlood implements the duplicate suppression of controlled flooding:
+// "a sensor may receive the same update message multiple times, but it
+// relays the message to its neighbors only once. This is achieved by
+// remembering the sequence number of the robot location updates it has
+// relayed before" (paper §3.2). Every flood origin is a robot or the
+// manager, and sequence numbers are monotone per origin, so the highest
+// handled Seq lives in the origin's robot track. It reports whether m is
+// the first copy of its (origin, seq) instance seen here, and marks it
+// handled; later copies and lower sequence numbers report false.
+func (s *Sensor) freshFlood(m netstack.FloodMsg) bool {
+	if m.Origin < 0 {
+		return false // defensive: a slice-indexed track table cannot hold it
+	}
+	tr := s.robotSlot(m.Origin)
+	if tr.flooded && m.Seq <= tr.floodSeq {
+		return false
+	}
+	tr.floodSeq, tr.flooded = m.Seq, true
+	return true
+}
+
 // handleFlood applies duplicate suppression, lets the policy decide
 // adoption/relaying, and rebroadcasts when appropriate.
 func (s *Sensor) handleFlood(m netstack.FloodMsg, now sim.Time) {
 	var relay bool
 	switch pl := m.Payload.(type) {
 	case wire.RobotUpdate:
-		if !s.flooder.Fresh(m) {
+		if !s.freshFlood(m) {
 			return
 		}
 		s.noteRobot(pl, now)
@@ -635,7 +686,7 @@ func (s *Sensor) handleFlood(m netstack.FloodMsg, now sim.Time) {
 			}
 		}
 	case wire.ManagerTakeover:
-		if !s.flooder.Fresh(m) {
+		if !s.freshFlood(m) {
 			return
 		}
 		s.adoptManager(pl, now)

@@ -2,6 +2,7 @@ package node
 
 import (
 	"testing"
+	"unsafe"
 
 	"roborepair/internal/geom"
 	"roborepair/internal/metrics"
@@ -163,20 +164,70 @@ func TestDynamicTargetSwitchesAsRobotsMove(t *testing.T) {
 	}
 }
 
+// sensorSink keeps the sensors built by TestNewSensorAllocatesOnlyItself
+// reachable, so the compiler cannot stack-allocate a discarded result.
+var sensorSink *Sensor
+
 // TestNewSensorAllocatesOnlyItself pins a sensor's construction footprint:
-// with reliability off, NewSensor makes one allocation, the Sensor itself.
-// The Config and Hooks are shared, and the table, flooder and router live
-// inline, their storage made on first use.
+// with reliability off or on, NewSensor makes one allocation, the Sensor
+// itself. The Config and Hooks are shared, the table is held inline, and
+// the beacon box, table storage and pending reports are made on first use.
 func TestNewSensorAllocatesOnlyItself(t *testing.T) {
 	h := newHarness()
-	cfg := testConfig()
 	hooks := &Hooks{}
-	id := radio.NodeID(1)
-	allocs := testing.AllocsPerRun(100, func() {
-		NewSensor(id, geom.Pt(10, 10), &cfg, allowAll{}, h.medium, hooks)
-		id++
-	})
-	if allocs != 1 {
-		t.Fatalf("NewSensor: %v allocs, want 1", allocs)
+	plain := testConfig()
+	reliable := testConfig()
+	reliable.Reliability = Reliability{RetryBase: 5, RobotExpiry: 100, NeighborWatch: true, WatchGrace: 10}
+	for name, cfg := range map[string]*Config{"paper": &plain, "reliable": &reliable} {
+		id := radio.NodeID(1)
+		allocs := testing.AllocsPerRun(100, func() {
+			sensorSink = NewSensor(id, geom.Pt(10, 10), cfg, allowAll{}, h.medium, hooks)
+			id++
+		})
+		if allocs != 1 {
+			t.Fatalf("%s: NewSensor: %v allocs, want 1", name, allocs)
+		}
 	}
 }
+
+// TestSensorSizeClass pins the Sensor struct to the runtime's 288 B size
+// class: a field holds one Sensor per deployed node.
+func TestSensorSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Sensor{}); got > 288 {
+		t.Fatalf("Sensor is %d B, want <= 288", got)
+	}
+}
+
+// TestBeaconBoxedOnce pins that a sensor boxes its beacon once: two
+// ticks send the identical payload value, the sensor's own beacon.
+func TestBeaconBoxedOnce(t *testing.T) {
+	h := newHarness()
+	s := h.addSensor(1, geom.Pt(3, 4), allowAll{}, Hooks{})
+	probe := &sink{id: 99, pos: geom.Pt(10, 4), rng: 63}
+	h.medium.Attach(probe)
+	h.sched.Run(12) // ticks at 1 and 11
+	var beacons []any
+	for _, f := range probe.frames {
+		if f.Category == metrics.CatBeacon && f.Src == s.ID() {
+			beacons = append(beacons, f.Payload)
+		}
+	}
+	if len(beacons) != 2 {
+		t.Fatalf("probe heard %d beacons, want 2", len(beacons))
+	}
+	want := wire.Beacon{From: 1, Loc: geom.Pt(3, 4)}
+	if beacons[0] != any(want) || beacons[1] != any(want) {
+		t.Fatalf("beacons %v, want %v twice", beacons, want)
+	}
+	if dataWord(beacons[0]) != dataWord(beacons[1]) {
+		t.Fatal("the two ticks boxed separate beacons")
+	}
+	h.medium.Detach(probe.id) // the probe's own recording allocates
+	if allocs := testing.AllocsPerRun(10, s.tick); allocs != 0 {
+		t.Fatalf("a quiet tick allocates %v times, want 0", allocs)
+	}
+}
+
+// dataWord returns the data pointer of an interface value: two values
+// boxed separately have different data pointers.
+func dataWord(v any) unsafe.Pointer { return (*[2]unsafe.Pointer)(unsafe.Pointer(&v))[1] }

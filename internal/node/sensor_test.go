@@ -395,3 +395,96 @@ func mustMedium(sched *sim.Scheduler, reg *metrics.Registry, cfg radio.Config) *
 	}
 	return m
 }
+
+// TestFloodDedupPerOrigin pins the flood duplicate suppression the robot
+// tracks hold: per origin, a repeated or lower Seq is stale, a higher one
+// is fresh, origins are independent, and the handled Seq outlives the
+// expiry of the origin's track.
+func TestFloodDedupPerOrigin(t *testing.T) {
+	h := newHarness()
+	cfg := testConfig()
+	cfg.Reliability.RobotExpiry = 20
+	s := NewSensor(1, geom.Pt(0, 0), &cfg, neverRelay{}, h.medium, &Hooks{})
+	s.Start(0.1, 1, false)
+	h.sched.Run(2)
+	fresh := func(origin radio.NodeID, seq uint64) bool {
+		return s.freshFlood(netstack.FloodMsg{Origin: origin, Seq: seq})
+	}
+	if !fresh(7, 1) {
+		t.Fatal("first copy should be fresh")
+	}
+	if fresh(7, 1) {
+		t.Fatal("duplicate should not be fresh")
+	}
+	if fresh(7, 0) {
+		t.Fatal("stale lower-seq instance should not be fresh")
+	}
+	if !fresh(7, 2) {
+		t.Fatal("next seq should be fresh")
+	}
+	if !fresh(8, 1) {
+		t.Fatal("different origin should be independent")
+	}
+	if fresh(-1, 1) {
+		t.Fatal("a negative origin names no station and must be dropped")
+	}
+
+	// Robot 9's update is handled, then its track expires unheard: the
+	// same flood instance arriving late must still be a duplicate.
+	up := netstack.FloodMsg{Origin: 9, Seq: 4, Category: metrics.CatLocUpdate,
+		Payload: wire.RobotUpdate{Robot: 9, Loc: geom.Pt(30, 0), Seq: 4}, TTL: 8}
+	s.HandleFrame(radio.Frame{Payload: up})
+	if _, ok := s.KnowsRobot(9); !ok {
+		t.Fatal("robot 9 not tracked")
+	}
+	h.sched.Run(40)
+	if _, ok := s.KnowsRobot(9); ok {
+		t.Fatal("robot 9 did not expire")
+	}
+	s.HandleFrame(radio.Frame{Payload: up})
+	if _, ok := s.KnowsRobot(9); ok {
+		t.Fatal("a duplicate flood revived an expired robot")
+	}
+}
+
+// lastFloodSeq reads the highest flood Seq s has handled from origin out
+// of its robot tracks; ok is false when no flood from origin was handled.
+func lastFloodSeq(s *Sensor, origin radio.NodeID) (uint64, bool) {
+	if origin < 0 || int(origin) >= len(s.robots) || !s.robots[origin].flooded {
+		return 0, false
+	}
+	return s.robots[origin].floodSeq, true
+}
+
+// TestFloodLastSeq pins what the robot tracks remember per flood origin:
+// nothing before a flood is handled, the highest Seq handled after, and
+// nothing for an origin that was only heard as a robot, never flooded.
+func TestFloodLastSeq(t *testing.T) {
+	h := newHarness()
+	cfg := testConfig()
+	s := NewSensor(1, geom.Pt(0, 0), &cfg, neverRelay{}, h.medium, &Hooks{})
+	if _, ok := lastFloodSeq(s, 1); ok {
+		t.Fatal("a new sensor should know no flood origin")
+	}
+	s.freshFlood(netstack.FloodMsg{Origin: 1, Seq: 5})
+	if seq, ok := lastFloodSeq(s, 1); !ok || seq != 5 {
+		t.Fatalf("last flood seq = %d, %v; want 5, true", seq, ok)
+	}
+	s.freshFlood(netstack.FloodMsg{Origin: 1, Seq: 3})
+	if seq, ok := lastFloodSeq(s, 1); !ok || seq != 5 {
+		t.Fatalf("a stale instance moved the last flood seq to %d, %v", seq, ok)
+	}
+	if _, ok := lastFloodSeq(s, 0); ok {
+		t.Fatal("an origin below a handled one should report !ok")
+	}
+	if _, ok := lastFloodSeq(s, 2); ok {
+		t.Fatal("unknown origin should report !ok")
+	}
+	s.noteRobot(wire.RobotUpdate{Robot: 3, Loc: geom.Pt(5, 0), Seq: 2}, 0)
+	if _, ok := s.KnowsRobot(3); !ok {
+		t.Fatal("robot 3 not tracked")
+	}
+	if _, ok := lastFloodSeq(s, 3); ok {
+		t.Fatal("a robot heard but never flooded should report !ok")
+	}
+}

@@ -1,10 +1,6 @@
 package node
 
-import (
-	"sort"
-
-	"roborepair/internal/checkpoint"
-)
+import "roborepair/internal/checkpoint"
 
 // AppendState serializes the sensor's complete dynamic state in canonical
 // order (checkpoint section payload). Scheduled-event handles are omitted:
@@ -55,18 +51,27 @@ func (s *Sensor) AppendState(b []byte) []byte {
 	}
 
 	b = s.table.AppendState(b)
-	b = s.flooder.AppendState(b)
 
-	// Pending reports sorted by report sequence.
-	seqs := make([]uint64, 0, len(s.pending))
-	for seq := range s.pending {
-		seqs = append(seqs, seq)
+	// Flood duplicate suppression: every origin with a handled flood,
+	// slice index order (origin-ascending), expired tracks included.
+	flooded := 0
+	for i := range s.robots {
+		if s.robots[i].flooded {
+			flooded++
+		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	b = checkpoint.AppendU32(b, uint32(len(seqs)))
-	for _, seq := range seqs {
-		p := s.pending[seq]
-		b = checkpoint.AppendU64(b, seq)
+	b = checkpoint.AppendU32(b, uint32(flooded))
+	for i := range s.robots {
+		if tr := &s.robots[i]; tr.flooded {
+			b = checkpoint.AppendI64(b, int64(i))
+			b = checkpoint.AppendU64(b, tr.floodSeq)
+		}
+	}
+
+	// Pending reports are kept Seq-ascending.
+	b = checkpoint.AppendU32(b, uint32(len(s.pending)))
+	for _, p := range s.pending {
+		b = checkpoint.AppendU64(b, p.rep.Seq)
 		b = checkpoint.AppendI64(b, int64(p.rep.Failed))
 		b = checkpoint.AppendF64(b, p.rep.Loc.X)
 		b = checkpoint.AppendF64(b, p.rep.Loc.Y)
