@@ -18,10 +18,12 @@ package roborepair_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"roborepair"
 	"roborepair/internal/relocation"
+	"roborepair/internal/sim"
 )
 
 const benchSimTime = 4000
@@ -235,6 +237,51 @@ func BenchmarkWorldBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkFieldFootprint measures what a booted sensor field keeps alive:
+// the 10k-sensor field of BenchmarkWorldBuild, run through boot (guardian
+// selection plus one beacon period), reports its live heap per sensor as
+// live-B/sensor — the heap in use after a GC with the world reachable,
+// less the heap in use before it was built, averaged over the iterations
+// (iteration i builds seed i+1). Tables, robot tracks, pending events and
+// the radio's static sets all count.
+func BenchmarkFieldFootprint(b *testing.B) {
+	cfg := roborepair.DefaultConfig()
+	cfg.Robots = 16
+	cfg.SensorsPerRobot = 625
+	cfg.AreaPerRobotSide = 200 * math.Sqrt(625.0/50)
+	var total float64
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i + 1)
+		b.StopTimer()
+		before := liveHeap()
+		b.StartTimer()
+		w, err := roborepair.NewWorld(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var boot sim.Time
+		for _, s := range w.Sensors {
+			c := s.Config()
+			boot = sim.Time(c.SettleDelay + c.BeaconPeriod)
+			break
+		}
+		w.Sched.Run(boot)
+		b.StopTimer()
+		total += float64(liveHeap()-before) / float64(len(w.Sensors))
+		runtime.KeepAlive(w)
+		b.StartTimer()
+	}
+	b.ReportMetric(total/float64(b.N), "live-B/sensor")
+}
+
+// liveHeap returns the bytes of heap objects in use after a full GC.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // BenchmarkSimulatorThroughputTelemetry is the same workload with the full

@@ -31,8 +31,8 @@ const DefaultSectors = 6
 // SelectRelays picks at most one designated forwarder per angular sector
 // around self: the farthest neighbor in that sector. Results are sorted by
 // ID. Fewer than `sectors` relays are returned when sectors are empty.
-func SelectRelays(self geom.Point, neighbors []netstack.Neighbor, sectors int) []radio.NodeID {
-	if sectors <= 0 || len(neighbors) == 0 {
+func SelectRelays(self geom.Point, neighbors netstack.NeighborView, sectors int) []radio.NodeID {
+	if sectors <= 0 || neighbors.Len() == 0 {
 		return nil
 	}
 	type pick struct {
@@ -42,7 +42,8 @@ func SelectRelays(self geom.Point, neighbors []netstack.Neighbor, sectors int) [
 	}
 	picks := make([]pick, sectors)
 	width := 2 * math.Pi / float64(sectors)
-	for _, n := range neighbors {
+	it := neighbors.Iter()
+	for n, ok := it.Next(); ok; n, ok = it.Next() {
 		if n.Loc.Eq(self) {
 			continue
 		}

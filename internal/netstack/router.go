@@ -13,10 +13,10 @@ import (
 const DefaultTTL = 64
 
 // NeighborSource supplies a node's candidate next hops at forwarding time.
-// The returned slice may be the source's own storage: the router only
+// The returned view may share the source's own storage: the router only
 // reads it, and stops reading it when it transmits.
 type NeighborSource interface {
-	RoutingNeighbors() []Neighbor
+	RoutingNeighbors() NeighborView
 }
 
 // TableSource adapts a beacon-built NeighborTable as a NeighborSource —
@@ -26,10 +26,10 @@ type TableSource struct {
 }
 
 // RoutingNeighbors implements NeighborSource with a read-only view of the
-// table (NeighborTable.All): no copy is made. The router reads it only
+// table (NeighborTable.View): no copy is made. The router reads it only
 // before the hop's transmit, which is the first point where a synchronous
 // delivery could mutate the table.
-func (s TableSource) RoutingNeighbors() []Neighbor { return s.Table.All() }
+func (s TableSource) RoutingNeighbors() NeighborView { return s.Table.View() }
 
 var _ NeighborSource = TableSource{}
 
@@ -52,15 +52,15 @@ type MediumSource struct {
 	out     []Neighbor
 }
 
-// RoutingNeighbors implements NeighborSource. The returned slice is valid
+// RoutingNeighbors implements NeighborSource. The returned view is valid
 // until the next call and must not be retained.
-func (s *MediumSource) RoutingNeighbors() []Neighbor {
+func (s *MediumSource) RoutingNeighbors() NeighborView {
 	s.entries = s.Medium.AppendInRange(s.entries[:0], s.Host.RadioPos(), s.Host.RadioRange(), s.Self)
 	s.out = s.out[:0]
 	for _, e := range s.entries {
 		s.out = append(s.out, Neighbor{ID: e.ID, Loc: e.Loc})
 	}
-	return s.out
+	return ViewOf(s.out)
 }
 
 var _ NeighborSource = (*MediumSource)(nil)
@@ -138,7 +138,8 @@ func (r *Router) process(p Packet) {
 	neighbors := r.Source.RoutingNeighbors()
 
 	// Direct delivery when the destination is a known neighbor.
-	for _, n := range neighbors {
+	it := neighbors.Iter()
+	for n, ok := it.Next(); ok; n, ok = it.Next() {
 		if n.ID == p.Dst {
 			r.transmit(p, n.ID)
 			return
@@ -198,12 +199,13 @@ func (r *Router) transmit(p Packet, next radio.NodeID) {
 
 // greedyNext picks the neighbor strictly closer to dst than self, choosing
 // the closest such neighbor; ok is false at a local minimum.
-func greedyNext(self, dst geom.Point, neighbors []Neighbor) (Neighbor, bool) {
+func greedyNext(self, dst geom.Point, neighbors NeighborView) (Neighbor, bool) {
 	selfD := self.Dist2(dst)
 	best := Neighbor{}
 	bestD := selfD
 	found := false
-	for _, n := range neighbors {
+	it := neighbors.Iter()
+	for n, ok := it.Next(); ok; n, ok = it.Next() {
 		if d := n.Loc.Dist2(dst); d < bestD {
 			best, bestD = n, d
 			found = true
@@ -215,16 +217,18 @@ func greedyNext(self, dst geom.Point, neighbors []Neighbor) (Neighbor, bool) {
 // perimeterNext applies the right-hand rule: among the Gabriel-subgraph
 // neighbors, take the first one counter-clockwise from the edge back
 // toward prev.
-func perimeterNext(self, prev geom.Point, neighbors []Neighbor) (Neighbor, bool) {
-	witnesses := make([]geom.Point, len(neighbors))
-	for i, n := range neighbors {
-		witnesses[i] = n.Loc
+func perimeterNext(self, prev geom.Point, neighbors NeighborView) (Neighbor, bool) {
+	witnesses := make([]geom.Point, 0, neighbors.Len())
+	it := neighbors.Iter()
+	for n, ok := it.Next(); ok; n, ok = it.Next() {
+		witnesses = append(witnesses, n.Loc)
 	}
 	ref := self.Angle(prev)
 	best := Neighbor{}
 	bestDelta := math.Inf(1)
 	found := false
-	for _, n := range neighbors {
+	it = neighbors.Iter()
+	for n, ok := it.Next(); ok; n, ok = it.Next() {
 		if !geom.GabrielEdge(self, n.Loc, witnesses) {
 			continue
 		}

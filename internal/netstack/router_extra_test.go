@@ -84,7 +84,7 @@ func TestGreedyPrefersClosestNeighbor(t *testing.T) {
 		{ID: 2, Loc: geom.Pt(55, 0)},
 		{ID: 3, Loc: geom.Pt(40, 20)},
 	}
-	next, ok := greedyNext(self, dst, neighbors)
+	next, ok := greedyNext(self, dst, ViewOf(neighbors))
 	if !ok || next.ID != 2 {
 		t.Fatalf("greedyNext = %v, want node 2", next)
 	}
@@ -97,7 +97,7 @@ func TestGreedyRejectsBackwardNeighbors(t *testing.T) {
 		{ID: 1, Loc: geom.Pt(0, 0)},  // farther from dst than self
 		{ID: 2, Loc: geom.Pt(45, 0)}, // also farther
 	}
-	if _, ok := greedyNext(self, dst, neighbors); ok {
+	if _, ok := greedyNext(self, dst, ViewOf(neighbors)); ok {
 		t.Fatal("greedy picked a neighbor that makes no progress")
 	}
 }
@@ -110,7 +110,7 @@ func TestPerimeterNextRightHandRule(t *testing.T) {
 		{ID: 2, Loc: geom.Pt(-50, 0)}, // west: 180°
 		{ID: 3, Loc: geom.Pt(0, -50)}, // south: 270°
 	}
-	next, ok := perimeterNext(self, prev, neighbors)
+	next, ok := perimeterNext(self, prev, ViewOf(neighbors))
 	if !ok || next.ID != 1 {
 		t.Fatalf("perimeterNext = %v, want first ccw neighbor (north)", next)
 	}
@@ -122,20 +122,20 @@ func TestPerimeterNextAvoidsImmediateBounce(t *testing.T) {
 	// Only neighbor is exactly back where the packet came from: the rule
 	// assigns it a full-turn penalty but still uses it as a last resort.
 	neighbors := []Neighbor{{ID: 1, Loc: geom.Pt(50, 0)}}
-	next, ok := perimeterNext(self, prev, neighbors)
+	next, ok := perimeterNext(self, prev, ViewOf(neighbors))
 	if !ok || next.ID != 1 {
 		t.Fatalf("lone backtrack neighbor should still be used: %v %v", next, ok)
 	}
 	// With an alternative, the backtrack loses.
 	neighbors = append(neighbors, Neighbor{ID: 2, Loc: geom.Pt(0, 50)})
-	next, _ = perimeterNext(self, prev, neighbors)
+	next, _ = perimeterNext(self, prev, ViewOf(neighbors))
 	if next.ID != 2 {
 		t.Fatalf("perimeter bounced straight back despite alternative: %v", next)
 	}
 }
 
 func TestPerimeterNextEmptyNeighbors(t *testing.T) {
-	if _, ok := perimeterNext(geom.Pt(0, 0), geom.Pt(1, 0), nil); ok {
+	if _, ok := perimeterNext(geom.Pt(0, 0), geom.Pt(1, 0), NeighborView{}); ok {
 		t.Fatal("no neighbors should report !ok")
 	}
 }
@@ -165,7 +165,7 @@ func TestMediumSourceSkipsInactive(t *testing.T) {
 	dead.dead = true
 	tn.medium.SetActive(2, false)
 	src := MediumSource{Medium: tn.medium, Self: 1, Host: m}
-	if got := src.RoutingNeighbors(); len(got) != 0 {
+	if got := src.RoutingNeighbors(); got.Len() != 0 {
 		t.Fatalf("inactive station offered as next hop: %v", got)
 	}
 }

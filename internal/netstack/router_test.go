@@ -63,7 +63,8 @@ func newTestNet() *testNet {
 }
 
 func (tn *testNet) add(id radio.NodeID, pos geom.Point, r float64) *testNode {
-	n := &testNode{id: id, pos: pos, rng: r, table: &NeighborTable{}}
+	table := NewNeighborTable(tn.medium)
+	n := &testNode{id: id, pos: pos, rng: r, table: &table}
 	n.router = &Router{
 		ID:     id,
 		Host:   n,
@@ -235,7 +236,8 @@ func TestMediumSourceSeesInRangeStations(t *testing.T) {
 	tn.add(3, geom.Pt(300, 0), 63)
 	src := MediumSource{Medium: tn.medium, Self: 1, Host: m}
 	ns := src.RoutingNeighbors()
-	if len(ns) != 1 || ns[0].ID != 2 {
+	it := ns.Iter()
+	if n, _ := it.Next(); ns.Len() != 1 || n.ID != 2 {
 		t.Fatalf("MediumSource neighbors = %v", ns)
 	}
 }
@@ -371,7 +373,7 @@ func TestRoutingLeavesTableUnchanged(t *testing.T) {
 	tn.fillTables()
 	before := make(map[radio.NodeID][]Neighbor, n)
 	for id, node := range tn.nodes {
-		before[id] = slices.Clone(node.table.All())
+		before[id] = slices.Clone(node.table.AppendAll(nil))
 	}
 	delivered := 0
 	for a := radio.NodeID(1); a <= n; a++ {
@@ -386,8 +388,8 @@ func TestRoutingLeavesTableUnchanged(t *testing.T) {
 		}
 	}
 	for id, node := range tn.nodes {
-		if !slices.Equal(node.table.All(), before[id]) {
-			t.Fatalf("n%d's table changed by routing:\n got %v\nwant %v", id, node.table.All(), before[id])
+		if !slices.Equal(node.table.AppendAll(nil), before[id]) {
+			t.Fatalf("n%d's table changed by routing:\n got %v\nwant %v", id, node.table.AppendAll(nil), before[id])
 		}
 	}
 	if delivered == 0 {

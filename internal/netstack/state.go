@@ -5,9 +5,10 @@ import "roborepair/internal/checkpoint"
 // AppendState serializes the table's entries in ascending ID order
 // (checkpoint section payload).
 func (t *NeighborTable) AppendState(b []byte) []byte {
-	all := t.All()
-	b = checkpoint.AppendU32(b, uint32(len(all)))
-	for _, n := range all {
+	v := t.View()
+	b = checkpoint.AppendU32(b, uint32(v.Len()))
+	it := v.Iter()
+	for n, ok := it.Next(); ok; n, ok = it.Next() {
 		b = checkpoint.AppendI64(b, int64(n.ID))
 		b = checkpoint.AppendF64(b, n.Loc.X)
 		b = checkpoint.AppendF64(b, n.Loc.Y)

@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"math"
 	"slices"
 
 	"roborepair/internal/geom"
@@ -16,97 +17,307 @@ type Neighbor struct {
 	LastHeard sim.Time
 }
 
-// NeighborTable tracks a node's one-hop neighbors in a slice kept in
-// ascending ID order: lookups binary-search it, and iteration order is
-// deterministic without sorting. The zero NeighborTable is an empty,
-// ready-to-use table; Reserve sizes it ahead of its first insertion.
-type NeighborTable struct {
-	entries []Neighbor
+// peer is a table entry for a static station heard at exactly the
+// position the medium caches for it: the location is the medium's, so the
+// entry stores only what the medium does not know.
+type peer struct {
+	ID        radio.NodeID
+	LastHeard sim.Time
 }
 
-// Reserve makes room for n entries without regrowth; it never shrinks
-// the table and never changes its contents.
+// locatedSlots is the room a table's located list is made with: robots
+// pass through a sensor's range one or two at a time at the paper's fleet
+// sizes.
+const locatedSlots = 2
+
+// NeighborTable tracks a node's one-hop neighbors in ascending ID order:
+// lookups binary-search it, and iteration order is deterministic without
+// sorting.
+//
+// A static sensor's neighbors are almost all static sensors heard where
+// the medium has them, so the table keeps two ID-ascending lists with
+// disjoint IDs. An entry whose heard location equals, bit for bit, the
+// position the medium caches for an attached static station is a 16 B
+// peer whose location is read back from the medium. Every other entry —
+// a robot, or a peer heard somewhere else (a replayed or corrupted
+// beacon) — keeps its own location in the located list, which is made
+// on first use. Readers see the merge of both through View.
+//
+// The zero NeighborTable has no medium and keeps every entry located;
+// NewNeighborTable binds one. Reserve sizes the peer list ahead of its
+// first insertion.
+type NeighborTable struct {
+	peers   []peer
+	located *[]Neighbor
+	medium  *radio.Medium
+}
+
+// NewNeighborTable returns an empty table that places static peers with
+// m's cached positions.
+func NewNeighborTable(m *radio.Medium) NeighborTable {
+	return NeighborTable{medium: m}
+}
+
+// Medium returns the medium the table reads static positions from (nil
+// for a table built without one).
+func (t *NeighborTable) Medium() *radio.Medium { return t.medium }
+
+// Reserve makes room for n static peers without regrowth; it never
+// shrinks the table and never changes its contents.
 func (t *NeighborTable) Reserve(n int) {
-	if n > cap(t.entries) {
-		t.entries = slices.Grow(t.entries, n-len(t.entries))
+	if n > cap(t.peers) {
+		t.peers = slices.Grow(t.peers, n-len(t.peers))
 	}
 }
 
-// Cap reports how many entries the table holds before its storage grows.
-func (t *NeighborTable) Cap() int { return cap(t.entries) }
+// Cap reports how many static peers the table holds before its storage
+// grows.
+func (t *NeighborTable) Cap() int { return cap(t.peers) }
 
-// find returns the index of id's entry, or where it would be inserted,
-// and whether it is present.
-func (t *NeighborTable) find(id radio.NodeID) (int, bool) {
-	lo, hi := 0, len(t.entries)
+// list returns the located entries (nil until the first one).
+func (t *NeighborTable) list() []Neighbor {
+	if t.located == nil {
+		return nil
+	}
+	return *t.located
+}
+
+// atStatic reports whether loc is, bit for bit, the position the medium
+// caches for id as an attached static station.
+func (t *NeighborTable) atStatic(id radio.NodeID, loc geom.Point) bool {
+	if t.medium == nil {
+		return false
+	}
+	p, ok := t.medium.StaticPos(id)
+	return ok && math.Float64bits(p.X) == math.Float64bits(loc.X) &&
+		math.Float64bits(p.Y) == math.Float64bits(loc.Y)
+}
+
+// findPeer returns the index of id's peer entry, or where it would be
+// inserted, and whether it is present.
+func (t *NeighborTable) findPeer(id radio.NodeID) (int, bool) {
+	lo, hi := 0, len(t.peers)
 	for lo < hi {
 		h := int(uint(lo+hi) >> 1)
-		if t.entries[h].ID < id {
+		if t.peers[h].ID < id {
 			lo = h + 1
 		} else {
 			hi = h
 		}
 	}
-	return lo, lo < len(t.entries) && t.entries[lo].ID == id
+	return lo, lo < len(t.peers) && t.peers[lo].ID == id
+}
+
+// findLocated is findPeer for the located list.
+func (t *NeighborTable) findLocated(id radio.NodeID) (int, bool) {
+	l := t.list()
+	lo, hi := 0, len(l)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if l[h].ID < id {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(l) && l[lo].ID == id
 }
 
 // Upsert records that id was heard at loc at time now.
 func (t *NeighborTable) Upsert(id radio.NodeID, loc geom.Point, now sim.Time) {
-	n := Neighbor{ID: id, Loc: loc, LastHeard: now}
-	i, ok := t.find(id)
-	if ok {
-		t.entries[i] = n
+	if t.atStatic(id, loc) {
+		i, ok := t.findPeer(id)
+		if ok {
+			t.peers[i].LastHeard = now
+			return
+		}
+		if j, ok := t.findLocated(id); ok {
+			*t.located = slices.Delete(*t.located, j, j+1)
+		}
+		t.peers = slices.Insert(t.peers, i, peer{ID: id, LastHeard: now})
 		return
 	}
-	t.entries = slices.Insert(t.entries, i, n)
+	if i, ok := t.findPeer(id); ok {
+		t.peers = slices.Delete(t.peers, i, i+1)
+	}
+	if t.located == nil {
+		// One allocation holds the list's header and its first slots.
+		l := &struct {
+			entries []Neighbor
+			room    [locatedSlots]Neighbor
+		}{}
+		l.entries = l.room[:0]
+		t.located = &l.entries
+	}
+	n := Neighbor{ID: id, Loc: loc, LastHeard: now}
+	j, ok := t.findLocated(id)
+	if ok {
+		(*t.located)[j] = n
+		return
+	}
+	*t.located = slices.Insert(*t.located, j, n)
 }
 
 // Remove deletes a neighbor (e.g. after its failure is detected).
 func (t *NeighborTable) Remove(id radio.NodeID) {
-	if i, ok := t.find(id); ok {
-		t.entries = slices.Delete(t.entries, i, i+1)
+	if i, ok := t.findPeer(id); ok {
+		t.peers = slices.Delete(t.peers, i, i+1)
+		return
+	}
+	if j, ok := t.findLocated(id); ok {
+		*t.located = slices.Delete(*t.located, j, j+1)
 	}
 }
 
 // Get returns the entry for id.
 func (t *NeighborTable) Get(id radio.NodeID) (Neighbor, bool) {
-	if i, ok := t.find(id); ok {
-		return t.entries[i], true
+	if i, ok := t.findPeer(id); ok {
+		return t.expand(t.peers[i]), true
+	}
+	if j, ok := t.findLocated(id); ok {
+		return (*t.located)[j], true
 	}
 	return Neighbor{}, false
 }
 
+// expand returns a peer entry with its location read from the medium.
+func (t *NeighborTable) expand(p peer) Neighbor {
+	pos, _ := t.medium.StaticPos(p.ID)
+	return Neighbor{ID: p.ID, Loc: pos, LastHeard: p.LastHeard}
+}
+
 // Len reports the number of entries.
-func (t *NeighborTable) Len() int { return len(t.entries) }
+func (t *NeighborTable) Len() int { return len(t.peers) + len(t.list()) }
 
 // Touch refreshes LastHeard for an existing entry without changing its
 // location; it reports whether the entry existed.
 func (t *NeighborTable) Touch(id radio.NodeID, now sim.Time) bool {
-	i, ok := t.find(id)
-	if ok {
-		t.entries[i].LastHeard = now
+	if i, ok := t.findPeer(id); ok {
+		t.peers[i].LastHeard = now
+		return true
 	}
-	return ok
+	if j, ok := t.findLocated(id); ok {
+		(*t.located)[j].LastHeard = now
+		return true
+	}
+	return false
 }
 
 // Purge removes the entries not heard since the deadline, except those
-// keep accepts. keep sees each stale entry in ascending ID order and may
-// refresh the entry it keeps (its location and LastHeard, never its ID).
-func (t *NeighborTable) Purge(deadline sim.Time, keep func(n *Neighbor) bool) {
-	kept := 0
-	for i := range t.entries {
-		n := &t.entries[i]
-		if n.LastHeard >= deadline || keep(n) {
-			t.entries[kept] = *n
-			kept++
+// keep accepts. keep sees each stale entry in ascending ID order and
+// returns the entry to keep — refreshed if it likes (its location and
+// LastHeard, never its ID) — and true, or false to drop it. Entries pass
+// by value, so offering one allocates nothing. A kept entry whose
+// location changes form — a peer moved off its static position, or a
+// located entry refreshed onto one — is re-filed.
+func (t *NeighborTable) Purge(deadline sim.Time, keep func(n Neighbor) (Neighbor, bool)) {
+	l := t.list()
+	var refile []Neighbor // kept entries changing lists: rare, so unsized
+	pk, lk := 0, 0
+	i, j := 0, 0
+	for i < len(t.peers) || j < len(l) {
+		if j == len(l) || (i < len(t.peers) && t.peers[i].ID < l[j].ID) {
+			p := t.peers[i]
+			i++
+			if p.LastHeard >= deadline {
+				t.peers[pk] = p
+				pk++
+				continue
+			}
+			n, ok := keep(t.expand(p))
+			if !ok {
+				continue
+			}
+			if t.atStatic(n.ID, n.Loc) {
+				t.peers[pk] = peer{ID: n.ID, LastHeard: n.LastHeard}
+				pk++
+			} else {
+				refile = append(refile, n)
+			}
+			continue
+		}
+		n := l[j]
+		j++
+		if n.LastHeard >= deadline {
+			l[lk] = n
+			lk++
+			continue
+		}
+		n, ok := keep(n)
+		if !ok {
+			continue
+		}
+		if !t.atStatic(n.ID, n.Loc) {
+			l[lk] = n
+			lk++
+		} else {
+			refile = append(refile, n)
 		}
 	}
-	t.entries = t.entries[:kept]
+	t.peers = t.peers[:pk]
+	if t.located != nil {
+		*t.located = l[:lk]
+	}
+	for _, n := range refile {
+		t.Upsert(n.ID, n.Loc, n.LastHeard)
+	}
 }
 
-// All returns the table's entries in ascending ID order (deterministic
-// iteration for the simulator). The slice is the table's own, not a copy:
-// it is read-only, and valid only until the next Upsert, Remove, Touch or
-// Purge. A caller that mutates the table while still needing entries
-// copies them out first, as the neighbor watch does before Purge.
-func (t *NeighborTable) All() []Neighbor { return t.entries }
+// View returns a read-only view of the table's entries in ascending ID
+// order. It copies nothing and is valid only until the next Upsert,
+// Remove, Touch or Purge: a caller that mutates the table while still
+// needing entries copies them out first, as the neighbor watch does
+// before Purge.
+func (t *NeighborTable) View() NeighborView {
+	return NeighborView{peers: t.peers, located: t.list(), medium: t.medium}
+}
+
+// AppendAll appends a copy of the table's entries, ascending by ID, to
+// dst.
+func (t *NeighborTable) AppendAll(dst []Neighbor) []Neighbor {
+	it := t.View().Iter()
+	for n, ok := it.Next(); ok; n, ok = it.Next() {
+		dst = append(dst, n)
+	}
+	return dst
+}
+
+// NeighborView is a read-only, ID-ascending sequence of neighbors: a
+// table's peers merged with its located entries, or a plain list.
+type NeighborView struct {
+	peers   []peer
+	located []Neighbor
+	medium  *radio.Medium
+}
+
+// ViewOf returns a view of an ID-ascending list of neighbors. The view
+// shares the list.
+func ViewOf(list []Neighbor) NeighborView { return NeighborView{located: list} }
+
+// Len reports the number of neighbors in the view.
+func (v NeighborView) Len() int { return len(v.peers) + len(v.located) }
+
+// Iter returns an iterator positioned before the view's first neighbor.
+func (v NeighborView) Iter() NeighborIter { return NeighborIter{v: v} }
+
+// NeighborIter walks a NeighborView in ascending ID order.
+type NeighborIter struct {
+	v    NeighborView
+	i, j int
+}
+
+// Next returns the next neighbor, or false once the view is exhausted.
+func (it *NeighborIter) Next() (Neighbor, bool) {
+	v := &it.v
+	if it.i < len(v.peers) && (it.j == len(v.located) || v.peers[it.i].ID < v.located[it.j].ID) {
+		p := v.peers[it.i]
+		it.i++
+		pos, _ := v.medium.StaticPos(p.ID)
+		return Neighbor{ID: p.ID, Loc: pos, LastHeard: p.LastHeard}, true
+	}
+	if it.j < len(v.located) {
+		it.j++
+		return v.located[it.j-1], true
+	}
+	return Neighbor{}, false
+}

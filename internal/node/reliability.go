@@ -61,6 +61,18 @@ type pendingReport struct {
 	acked    bool         // a dispatcher owns the repair; verify cadence
 	target   radio.NodeID // destination of the last transmission
 	ev       sim.Event
+	// fire is the retransmission timer body, bound once per report so
+	// that (re-)arming the timer allocates nothing.
+	fire func()
+}
+
+// newPending appends a report to the pending list (Seqs only grow, so the
+// list stays sorted) and binds its retransmission callback.
+func (s *Sensor) newPending(rep wire.FailureReport) *pendingReport {
+	p := &pendingReport{rep: rep}
+	p.fire = func() { s.resend(p.rep.Seq) }
+	s.pending = append(s.pending, p)
+	return p
 }
 
 // retryDelay returns the backoff before the next retransmission given the
@@ -167,7 +179,7 @@ func (s *Sensor) sendReport(p *pendingReport) {
 	if p.acked {
 		delay = s.verifyDelay()
 	}
-	p.ev = s.sched.After(delay, func() { s.resend(p.rep.Seq) })
+	p.ev = s.sched().After(delay, p.fire)
 }
 
 // pendingAt returns the index of the pending report numbered seq, by
@@ -211,8 +223,9 @@ func (s *Sensor) ackReport(seq uint64) {
 	}
 	p := s.pending[i]
 	p.acked = true
-	s.sched.Cancel(p.ev)
-	p.ev = s.sched.After(s.verifyDelay(), func() { s.resend(seq) })
+	sched := s.sched()
+	sched.Cancel(p.ev)
+	p.ev = sched.After(s.verifyDelay(), p.fire)
 }
 
 // resyncPendings re-arms every unacked pending report with a fresh
@@ -224,13 +237,13 @@ func (s *Sensor) ackReport(seq uint64) {
 // grace and are reported as usual.
 func (s *Sensor) resyncPendings() {
 	grace := 2 * s.cfg.BeaconPeriod
+	sched := s.sched()
 	for _, p := range s.pending {
 		if p.acked {
 			continue
 		}
-		s.sched.Cancel(p.ev)
-		seq := p.rep.Seq
-		p.ev = s.sched.After(grace, func() { s.resend(seq) })
+		sched.Cancel(p.ev)
+		p.ev = sched.After(grace, p.fire)
 	}
 }
 
@@ -250,9 +263,8 @@ func (s *Sensor) reportAfter(failed radio.NodeID, loc geom.Point, now sim.Time, 
 		Failed: failed, Loc: loc, Reporter: s.id, DetectedAt: now,
 		Seq: s.reportSeq, ReporterLoc: s.pos,
 	}
-	p := &pendingReport{rep: rep}
-	s.pending = append(s.pending, p) // Seqs only grow: stays sorted
-	p.ev = s.sched.After(grace, func() { s.resend(rep.Seq) })
+	p := s.newPending(rep)
+	p.ev = s.sched().After(grace, p.fire)
 }
 
 // DeliverPacket implements netstack.Host: it handles routed packets
@@ -280,7 +292,7 @@ func (s *Sensor) observeRepair(loc geom.Point) {
 	kept := s.pending[:0]
 	for _, p := range s.pending {
 		if p.rep.Loc.Dist2(loc) <= eps2 {
-			s.sched.Cancel(p.ev) // cleared for good: the site was seen alive
+			s.sched().Cancel(p.ev) // cleared for good: the site was seen alive
 			continue
 		}
 		kept = append(kept, p)

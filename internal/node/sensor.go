@@ -5,6 +5,8 @@
 package node
 
 import (
+	"fmt"
+	"math"
 	"sort"
 
 	"roborepair/internal/broadcastopt"
@@ -101,18 +103,15 @@ type robotTrack struct {
 	flooded  bool
 }
 
-// robotTableSlots is the room a sensor's neighbor table keeps for robots
-// beyond its static neighbors: robots pass through a sensor's range one or
-// two at a time at the paper's fleet sizes.
-const robotTableSlots = 2
-
 // Sensor is one static sensor node.
 //
 // A field holds one Sensor per deployed node, so the struct keeps only
 // per-node state: the world-wide Config and Hooks are shared through
-// pointers, the neighbor table is held inline, flood duplicate
-// suppression lives in the robot tracks, and the router is built on
-// demand from fields the sensor already has.
+// pointers, the neighbor table is held inline and holds the medium (the
+// sensor reaches it, and the scheduler, through the table), flood
+// duplicate suppression lives in the robot tracks, the beacon timer is
+// one event the sensor re-arms itself, and the router is built on demand
+// from fields the sensor already has.
 type Sensor struct {
 	id     radio.NodeID
 	pos    geom.Point
@@ -120,12 +119,12 @@ type Sensor struct {
 	policy Policy
 	hooks  *Hooks // shared by the world's sensors
 
-	medium *radio.Medium
-	sched  *sim.Scheduler
-
-	alive  bool
-	table  netstack.NeighborTable
-	ticker *sim.Ticker
+	alive bool
+	table netstack.NeighborTable // bound to the sensor's medium
+	// beat is the pending beacon tick; fire is s.beatTick, bound once so
+	// re-arming allocates nothing.
+	beat sim.Event
+	fire func()
 	// beacon is the boxed wire.Beacon every beacon sends: a static
 	// sensor's beacon never changes, so it is boxed once, on first use.
 	beacon any
@@ -164,12 +163,17 @@ func NewSensor(id radio.NodeID, pos geom.Point, cfg *Config, policy Policy, medi
 		cfg:     cfg,
 		policy:  policy,
 		hooks:   hooks,
-		medium:  medium,
-		sched:   medium.Scheduler(),
+		table:   netstack.NewNeighborTable(medium),
 		alive:   true,
 		manager: cfg.Reliability.Manager,
 	}
 }
+
+// medium returns the radio medium the sensor is attached to.
+func (s *Sensor) medium() *radio.Medium { return s.table.Medium() }
+
+// sched returns the scheduler driving the sensor's medium.
+func (s *Sensor) sched() *sim.Scheduler { return s.medium().Scheduler() }
 
 // router returns the sensor's geographic router. It holds nothing the
 // sensor lacks, so it is built per use rather than stored.
@@ -177,7 +181,7 @@ func (s *Sensor) router() netstack.Router {
 	return netstack.Router{
 		ID:     s.id,
 		Host:   s,
-		Medium: s.medium,
+		Medium: s.medium(),
 		Source: netstack.TableSource{Table: &s.table},
 	}
 }
@@ -282,12 +286,13 @@ func (s *Sensor) upsertGuardee(id radio.NodeID, loc geom.Point, now sim.Time) {
 func (s *Sensor) Table() *netstack.NeighborTable { return &s.table }
 
 // upsertNeighbor records a neighbor in the table. The first insertion
-// sizes the table once for the sensor's whole neighborhood: a static
-// sensor only ever hears the static stations of its radio set, plus the
-// robots passing through.
+// sizes the table's static peers once for the sensor's whole
+// neighborhood: a static sensor only ever hears the static stations of
+// its radio set at their own positions; robots, and peers heard
+// elsewhere, go to the table's located list.
 func (s *Sensor) upsertNeighbor(id radio.NodeID, loc geom.Point, now sim.Time) {
 	if s.table.Cap() == 0 {
-		s.table.Reserve(s.medium.StaticDegree(s.id) + robotTableSlots)
+		s.table.Reserve(s.medium().StaticDegree(s.id))
 	}
 	s.table.Upsert(id, loc, now)
 }
@@ -340,7 +345,7 @@ func (s *Sensor) RadioActive() bool { return s.alive }
 // DropPacket implements netstack.Host: a routed packet discarded with this
 // sensor as its relay.
 func (s *Sensor) DropPacket(p netstack.Packet, r netstack.DropReason) {
-	s.medium.Metrics().CountTx("drop_"+string(r), 1)
+	s.medium().Metrics().CountTx("drop_"+string(r), 1)
 	if s.hooks.OnReportDropped != nil {
 		s.hooks.OnReportDropped(p, r)
 	}
@@ -349,35 +354,47 @@ func (s *Sensor) DropPacket(p netstack.Packet, r netstack.DropReason) {
 // Start attaches the sensor to the medium and boots it: it announces its
 // location (one-hop) after announceOffset — so that every station of the
 // initial deployment is attached before the first announcement fires —
-// schedules guardian selection after SettleDelay, and starts the beacon
-// ticker with the given phase offset.
+// schedules guardian selection after SettleDelay, and arms the first
+// beacon tick at beaconOffset; each tick re-arms the next one period
+// later.
 //
 // replacement marks a node deployed by a robot mid-run; its announcement
 // is counted as replacement traffic and prompts neighbors to beacon back.
 func (s *Sensor) Start(announceOffset, beaconOffset sim.Duration, replacement bool) {
-	s.medium.Attach(s)
+	s.medium().Attach(s)
 	cat := metrics.CatInit
 	if replacement {
 		cat = metrics.CatReplacement
 	}
-	s.sched.After(announceOffset, func() {
+	s.sched().After(announceOffset, func() {
 		if !s.alive {
 			return
 		}
-		s.medium.Send(radio.Frame{
+		s.medium().Send(radio.Frame{
 			Src:      s.id,
 			Dst:      radio.IDBroadcast,
 			Category: cat,
 			Payload:  wire.LocationAnnounce{From: s.id, Loc: s.pos, Replacement: replacement},
 		})
 	})
-	s.sched.After(s.cfg.SettleDelay, s.selectGuardian)
-	t, err := s.sched.NewTicker(beaconOffset, s.cfg.BeaconPeriod, s.tick)
-	if err != nil {
+	sched := s.sched()
+	sched.After(s.cfg.SettleDelay, s.selectGuardian)
+	if p := s.cfg.BeaconPeriod; !(p > 0) || math.IsInf(float64(p), 1) {
 		// Unreachable: BeaconPeriod is validated by the scenario config.
-		panic(err)
+		panic(fmt.Sprintf("node: beacon period %v not positive and finite", p))
 	}
-	s.ticker = t
+	s.fire = s.beatTick
+	s.beat = sched.After(beaconOffset, s.fire)
+}
+
+// beatTick is the beacon timer body: the tick, then — while the sensor
+// lives — the next tick one period later. The order (body first, re-arm
+// after) is what fixes the re-armed event's sequence number.
+func (s *Sensor) beatTick() {
+	s.tick()
+	if s.alive {
+		s.beat = s.sched().After(s.cfg.BeaconPeriod, s.fire)
+	}
 }
 
 // FailNow implements failure.Failable: the sensor goes silent immediately.
@@ -386,12 +403,11 @@ func (s *Sensor) FailNow() {
 		return
 	}
 	s.alive = false
-	s.medium.SetActive(s.id, false)
-	if s.ticker != nil {
-		s.ticker.Stop()
-	}
+	s.medium().SetActive(s.id, false)
+	sched := s.sched()
+	sched.Cancel(s.beat)
 	for _, p := range s.pending {
-		s.sched.Cancel(p.ev) // dead guardians stop retransmitting
+		sched.Cancel(p.ev) // dead guardians stop retransmitting
 	}
 	s.pending = nil
 }
@@ -401,8 +417,8 @@ func (s *Sensor) tick() {
 	if !s.alive {
 		return
 	}
-	now := s.sched.Now()
-	s.medium.Send(radio.Frame{
+	now := s.sched().Now()
+	s.medium().Send(radio.Frame{
 		Src:      s.id,
 		Dst:      radio.IDBroadcast,
 		Category: metrics.CatBeacon,
@@ -452,7 +468,8 @@ func (s *Sensor) tick() {
 	// dying inside its guardee's detection window strands the guardee).
 	var watch []netstack.Neighbor
 	if s.cfg.Reliability.NeighborWatch {
-		for _, n := range s.table.All() {
+		it := s.table.View().Iter()
+		for n, ok := it.Next(); ok; n, ok = it.Next() {
 			if n.LastHeard >= deadline {
 				continue
 			}
@@ -465,13 +482,13 @@ func (s *Sensor) tick() {
 	// Purge other stale neighbors so routing never picks a dead relay.
 	// Robots are exempt: they beacon on their own schedule (location
 	// updates), and purging them would orphan the last-hop delivery.
-	s.table.Purge(deadline, func(n *netstack.Neighbor) bool {
+	s.table.Purge(deadline, func(n netstack.Neighbor) (netstack.Neighbor, bool) {
 		tr := s.robotAt(n.ID)
 		if tr == nil || !s.inRange(tr.loc) {
-			return false
+			return n, false
 		}
 		n.Loc, n.LastHeard = tr.loc, now
-		return true
+		return n, true
 	})
 	for _, n := range watch {
 		s.reportAfter(n.ID, n.Loc, now, s.cfg.Reliability.WatchGrace)
@@ -489,22 +506,23 @@ func (s *Sensor) selectGuardian() {
 	if !s.alive || s.guardian != 0 {
 		return
 	}
-	all := s.table.All()
-	chosen := -1
-	for i, n := range all {
+	var chosen netstack.Neighbor
+	found := false
+	it := s.table.View().Iter()
+	for n, ok := it.Next(); ok; n, ok = it.Next() {
 		if s.robotAt(n.ID) != nil || !s.policy.GuardianOK(s.pos, n.Loc) {
 			continue
 		}
-		if chosen < 0 || n.Loc.Dist2(s.pos) < all[chosen].Loc.Dist2(s.pos) {
-			chosen = i
+		if !found || n.Loc.Dist2(s.pos) < chosen.Loc.Dist2(s.pos) {
+			chosen, found = n, true
 		}
 	}
-	if chosen < 0 {
+	if !found {
 		return // isolated sensor: unguarded, as in the paper's model
 	}
-	s.guardian = all[chosen].ID
-	s.lastGuardian = s.sched.Now()
-	s.medium.Send(radio.Frame{
+	s.guardian = chosen.ID
+	s.lastGuardian = s.sched().Now()
+	s.medium().Send(radio.Frame{
 		Src:      s.id,
 		Dst:      s.guardian,
 		Category: metrics.CatInit,
@@ -521,9 +539,7 @@ func (s *Sensor) report(failed radio.NodeID, loc geom.Point, now sim.Time) {
 		s.reportSeq++
 		rep.Seq = s.reportSeq
 		rep.ReporterLoc = s.pos
-		p := &pendingReport{rep: rep}
-		s.pending = append(s.pending, p) // Seqs only grow: stays sorted
-		s.sendReport(p)
+		s.sendReport(s.newPending(rep))
 		return
 	}
 	if s.target == 0 {
@@ -546,7 +562,7 @@ func (s *Sensor) HandleFrame(f radio.Frame) {
 	if !s.alive {
 		return
 	}
-	now := s.sched.Now()
+	now := s.sched().Now()
 	if s.cfg.Reliability.RetryEnabled() {
 		// Deafness resync: a sensor that heard no frame at all for a full
 		// detection window was cut off (e.g. a regional radio blackout), so
@@ -573,7 +589,7 @@ func (s *Sensor) HandleFrame(f radio.Frame) {
 			s.observeRepair(m.Loc)
 			// §4.2(a): answer a replacement node's boot broadcast with a
 			// beacon so it can build its neighbor table.
-			s.medium.Send(radio.Frame{
+			s.medium().Send(radio.Frame{
 				Src:      s.id,
 				Dst:      radio.IDBroadcast,
 				Category: metrics.CatReplacement,
@@ -702,9 +718,9 @@ func (s *Sensor) handleFlood(m netstack.FloodMsg, now sim.Time) {
 	}
 	var relays []radio.NodeID
 	if s.cfg.EfficientBroadcast {
-		relays = broadcastopt.SelectRelays(s.pos, s.table.All(), broadcastopt.DefaultSectors)
+		relays = broadcastopt.SelectRelays(s.pos, s.table.View(), broadcastopt.DefaultSectors)
 	}
-	s.medium.Send(radio.Frame{
+	s.medium().Send(radio.Frame{
 		Src:      s.id,
 		Dst:      radio.IDBroadcast,
 		Category: m.Category,

@@ -42,7 +42,7 @@ func TestTableMatchesRadioStaticSet(t *testing.T) {
 			t.Fatalf("sensor %d: static degree %d, %d stations in range", s.ID(), d, len(inRange))
 		}
 		var got, want []radio.NodeID
-		for _, n := range s.Table().All() {
+		for _, n := range s.Table().AppendAll(nil) {
 			got = append(got, n.ID)
 		}
 		for _, e := range inRange {

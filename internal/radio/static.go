@@ -74,6 +74,18 @@ func (m *Medium) appendMobile(dst []neighbor, id NodeID, p geom.Point, r2 float6
 	return append(dst, neighbor{id: id, st: st})
 }
 
+// StaticPos returns the position the medium caches for id and whether id
+// is an attached static station. A static station's position is fixed
+// once attached (only Moved or a re-Attach changes it, and sensors do
+// neither), so a caller that saw ok may read the position again later
+// instead of storing it; a detached station keeps the position it had.
+func (m *Medium) StaticPos(id NodeID) (geom.Point, bool) {
+	if id < 0 || int(id) >= len(m.pos) {
+		return geom.Point{}, false
+	}
+	return m.pos[id], m.stations[id] != nil && !m.mobile[id]
+}
+
 // StaticDegree returns the size of the static set that id's broadcasts are
 // served from: the static stations, active or not, within its range of its
 // position. A static sender's neighborhood is fixed, so this bounds the

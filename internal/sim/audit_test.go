@@ -86,7 +86,7 @@ func TestAuditStaleDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev.e.freed = true // simulate freed storage left in the heap
+	ev.e.state = evFree // simulate freed storage left in the queue
 	s.Step()
 	if !a.has("sim/queue-integrity") {
 		t.Fatalf("stale dispatch not reported; laws: %v", a.laws)

@@ -116,7 +116,7 @@ func newLadderQueue(s *Scheduler) *ladderQueue {
 func (q *ladderQueue) len() int { return q.count }
 
 func (q *ladderQueue) push(ev *event) {
-	ev.index = 0 // any non-negative index keeps the handle Scheduled
+	ev.state = evQueued
 	q.count++
 	at := ev.at
 	if at < q.bottomEnd {
@@ -169,7 +169,6 @@ func (q *ladderQueue) pop() *event {
 	ev := q.bottom[q.bot0]
 	q.bottom[q.bot0] = nil
 	q.bot0++
-	ev.index = -1
 	q.count--
 	return ev
 }
@@ -177,10 +176,9 @@ func (q *ladderQueue) pop() *event {
 // cancel marks the event dead and invalidates its handle; the storage is
 // physically released when a purge reaches it.
 func (q *ladderQueue) cancel(ev *event) bool {
-	ev.dead = true
+	ev.state = evDead
 	ev.fn = nil
 	ev.gen++
-	ev.index = -1
 	q.count--
 	return true
 }
@@ -192,7 +190,7 @@ func (q *ladderQueue) ensure() bool {
 	for {
 		for q.bot0 < len(q.bottom) {
 			ev := q.bottom[q.bot0]
-			if !ev.dead {
+			if ev.state != evDead {
 				return true
 			}
 			q.bottom[q.bot0] = nil
@@ -231,7 +229,7 @@ func (q *ladderQueue) refill() bool {
 			r.cur++
 			live := b[:0]
 			for _, ev := range b {
-				if ev.dead {
+				if ev.state == evDead {
 					q.s.release(ev)
 				} else {
 					live = append(live, ev)
@@ -262,7 +260,7 @@ func (q *ladderQueue) refill() bool {
 		lo, hi := TimeInf, Time(math.Inf(-1))
 		live := q.top[:0]
 		for _, ev := range q.top {
-			if ev.dead {
+			if ev.state == evDead {
 				q.s.release(ev)
 				continue
 			}

@@ -58,15 +58,27 @@ var ErrTimeInPast = errors.New("sim: event scheduled in the past")
 // and cancelled events return to the scheduler's free list and are reused
 // by later At/After calls, so steady-state scheduling allocates nothing.
 // The generation counter makes stale Event handles inert after reuse.
+//
+// A field holds one pending beacon per sensor, so the layout is kept to
+// the runtime's 32 B size class: three words, the generation and one
+// state byte.
 type event struct {
 	at    Time
 	seq   uint64
-	gen   uint32
-	index int // non-negative while queued, -1 once popped or cancelled
-	freed bool
-	dead  bool // lazily cancelled, awaiting physical removal (ladder)
 	fn    func()
+	gen   uint32
+	state evState
 }
+
+// evState is where an event's storage is in its life cycle.
+type evState uint8
+
+const (
+	evIdle   evState = iota // fresh from alloc, not yet pushed
+	evQueued                // pending, or popped and about to be released
+	evDead                  // lazily cancelled, awaiting physical removal (ladder)
+	evFree                  // on the free list
+)
 
 // Audit receives the kernel's self-checks. Install one with SetAudit and
 // the scheduler verifies its own bookkeeping at every dispatch and
@@ -105,7 +117,7 @@ func (ev Event) At() Time {
 
 // Scheduled reports whether the event is still pending.
 func (ev Event) Scheduled() bool {
-	return ev.e != nil && ev.gen == ev.e.gen && ev.e.index >= 0
+	return ev.e != nil && ev.gen == ev.e.gen && ev.e.state == evQueued
 }
 
 // kernel is the priority-queue core behind a Scheduler: the ladder queue
@@ -162,8 +174,7 @@ func (s *Scheduler) alloc() *event {
 		ev := s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		ev.freed = false
-		ev.dead = false
+		ev.state = evIdle
 		return ev
 	}
 	return &event{}
@@ -172,14 +183,14 @@ func (s *Scheduler) alloc() *event {
 // release returns a dequeued event to the free list. Bumping the
 // generation invalidates every outstanding handle to it.
 func (s *Scheduler) release(ev *event) {
-	if s.audit != nil && ev.freed {
+	if s.audit != nil && ev.state == evFree {
 		s.audit.Violation("sim/free-list", s.now, fmt.Sprintf(
 			"event seq=%d gen=%d released twice", ev.seq, ev.gen))
 		return
 	}
 	ev.fn = nil
 	ev.gen++
-	ev.freed = true
+	ev.state = evFree
 	s.free = append(s.free, ev)
 }
 
@@ -256,7 +267,7 @@ func (s *Scheduler) Step() bool {
 			s.audit.Violation("sim/clock-monotone", s.now, fmt.Sprintf(
 				"event seq=%d fires at %v with the clock already at %v", ev.seq, ev.at, s.now))
 		}
-		if ev.freed {
+		if ev.state == evFree {
 			s.audit.Violation("sim/queue-integrity", s.now, fmt.Sprintf(
 				"dispatch of freed event storage seq=%d gen=%d", ev.seq, ev.gen))
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestTimeArithmetic(t *testing.T) {
@@ -519,5 +520,13 @@ func TestSchedulerAtExactNow(t *testing.T) {
 	s.RunAll()
 	if !fired {
 		t.Fatal("At(now) event never fired")
+	}
+}
+
+// TestEventSize pins the event storage to the runtime's 32 B size class:
+// a large field keeps one pending beacon per sensor in the queue.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 32 {
+		t.Fatalf("event is %d B, want 32", got)
 	}
 }

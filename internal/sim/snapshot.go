@@ -64,7 +64,7 @@ func (s *Scheduler) SnapshotState() KernelState {
 func (q *ladderQueue) each(fn func(*event)) {
 	visit := func(evs []*event) {
 		for _, ev := range evs {
-			if ev != nil && !ev.dead {
+			if ev != nil && ev.state != evDead {
 				fn(ev)
 			}
 		}
