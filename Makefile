@@ -28,37 +28,41 @@ bench:
 # Machine-readable benchmark record for the per-PR perf ratchet (see
 # DESIGN.md §12.3): runs the end-to-end throughput bench (bare and with
 # the flight recorder armed), the 10k-sensor world build and its booted
-# per-sensor footprint, plus the kernel, radio (ideal and contended),
-# wire-codec and sensor steady-state microbenches, and writes the parsed
-# metrics to BENCH_PR20.json.
+# per-sensor footprint, the paper-density field (10k sensors, 200
+# robots), plus the kernel, radio (ideal and contended), wire-codec and
+# sensor steady-state microbenches, and writes the parsed metrics to
+# BENCH_PR21.json.
 bench-json:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput$$|BenchmarkSimulatorThroughputFTDC|BenchmarkWorldBuild|BenchmarkFieldFootprint' -benchmem -benchtime 3x . ; \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput$$|BenchmarkSimulatorThroughputFTDC|BenchmarkWorldBuild|BenchmarkFieldFootprint|BenchmarkPaperDensityField' -benchmem -benchtime 3x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkSchedulerHotLoop$$|BenchmarkSchedulerChurn' -benchmem ./internal/sim ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkNeighborsDense|BenchmarkMediumBroadcast$$|BenchmarkContendedSend' -benchmem ./internal/radio ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFrameBroadcast' -benchmem ./internal/wire ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkSensorSteadyState' -benchmem ./internal/node ; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_PR20.json
-	@echo "wrote BENCH_PR20.json"
+	| $(GO) run ./cmd/benchjson -o BENCH_PR21.json
+	@echo "wrote BENCH_PR21.json"
 
 # Fast allocation check on the hot-path benchmarks only (seconds, not
 # minutes): scheduler churn, medium broadcast, a codec broadcast, a
 # contended codec unicast plus broadcast, a sensor field's beacon period,
-# end-to-end throughput, the 10k-sensor world build and that field's live
-# heap per sensor after boot. The ceilings are the perf ratchet — a
+# end-to-end throughput, the 10k-sensor world build, that field's live
+# heap per sensor after boot, and the paper-density field's live heap per
+# sensor and allocations per sim-s. The ceilings are the perf ratchet — a
 # regression past a previously banked number fails the build.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSchedulerChurn|BenchmarkMediumBroadcast$$|BenchmarkMediumUnicast' -benchtime 1000x ./internal/sim ./internal/radio
-	{ $(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput$$|BenchmarkSimulatorThroughputFTDC|BenchmarkWorldBuild|BenchmarkFieldFootprint' -benchmem -benchtime 2x . ; \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput$$|BenchmarkSimulatorThroughputFTDC|BenchmarkWorldBuild|BenchmarkFieldFootprint|BenchmarkPaperDensityField' -benchmem -benchtime 2x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkSchedulerChurn' -benchmem -benchtime 100000x ./internal/sim ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkNeighborsDense|BenchmarkMediumBroadcast$$|BenchmarkContendedSend' -benchmem -benchtime 10000x ./internal/radio ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFrameBroadcast' -benchmem -benchtime 10000x ./internal/wire ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkSensorSteadyState' -benchmem -benchtime 100x ./internal/node ; } \
 	| $(GO) run ./cmd/benchjson -o /dev/null \
-		-ceiling 'BenchmarkSimulatorThroughput=allocs/op<=36900' \
-		-ceiling 'BenchmarkSimulatorThroughputFTDC=allocs/op<=36900' \
+		-ceiling 'BenchmarkSimulatorThroughput=allocs/op<=34210' \
+		-ceiling 'BenchmarkSimulatorThroughputFTDC=allocs/op<=34270' \
 		-ceiling 'BenchmarkWorldBuild=allocs/op<=100200' \
 		-ceiling 'BenchmarkWorldBuild=B/op<=10491000' \
-		-ceiling 'BenchmarkFieldFootprint=live-B/sensor<=1647' \
+		-ceiling 'BenchmarkFieldFootprint=live-B/sensor<=1291' \
+		-ceiling 'BenchmarkPaperDensityField=live-B/sensor<=1793' \
+		-ceiling 'BenchmarkPaperDensityField=allocs/sim-s<=1486' \
 		-ceiling 'BenchmarkSensorSteadyState=allocs/op<=0' \
 		-ceiling 'BenchmarkSchedulerChurn=allocs/op<=0' \
 		-ceiling 'BenchmarkNeighborsDense=allocs/op<=0' \

@@ -276,6 +276,49 @@ func BenchmarkFieldFootprint(b *testing.B) {
 	b.ReportMetric(total/float64(b.N), "live-B/sensor")
 }
 
+// BenchmarkPaperDensityField runs a field at the paper's operating point,
+// where the fleet grows with the field (50 sensors per robot, §2): 10k
+// sensors and 200 robots through boot and a 200 sim-s window whose
+// shortened sensor lifetime (8× the horizon, as in examples/megafield)
+// makes it contain repairs. It reports the live heap per sensor after the
+// run with the world reachable (live-B/sensor, measured as in
+// BenchmarkFieldFootprint) and the allocations of the run itself, world
+// construction excluded, per simulated second (allocs/sim-s). A sensor
+// hears only the robots near it, so neither may grow with the fleet.
+func BenchmarkPaperDensityField(b *testing.B) {
+	const simTime = 200
+	cfg := roborepair.DefaultConfig()
+	cfg.Robots = 200
+	cfg.SimTime = simTime
+	cfg.MeanLifetime = 8 * simTime
+	var live, allocs float64
+	var ms runtime.MemStats
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i + 1)
+		b.StopTimer()
+		before := liveHeap()
+		b.StartTimer()
+		w, err := roborepair.NewWorld(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		built := ms.Mallocs
+		res := w.Run()
+		runtime.ReadMemStats(&ms)
+		b.StopTimer()
+		if res.Repairs == 0 {
+			b.Fatalf("seed %d: no repairs in the window", cfg.Seed)
+		}
+		allocs += float64(ms.Mallocs-built) / simTime
+		live += float64(liveHeap()-before) / float64(len(w.Sensors))
+		runtime.KeepAlive(w)
+		b.StartTimer()
+	}
+	b.ReportMetric(live/float64(b.N), "live-B/sensor")
+	b.ReportMetric(allocs/float64(b.N), "allocs/sim-s")
+}
+
 // liveHeap returns the bytes of heap objects in use after a full GC.
 func liveHeap() int64 {
 	runtime.GC()

@@ -120,8 +120,8 @@ func (s *Sensor) reportTarget(loc geom.Point) (radio.NodeID, geom.Point) {
 	var bestID radio.NodeID
 	var bestLoc geom.Point
 	bestD := -1.0
-	for id := range s.robots {
-		tr := &s.robots[id]
+	for i := range s.robots {
+		tr := &s.robots[i]
 		if !tr.known {
 			continue
 		}
@@ -129,7 +129,7 @@ func (s *Sensor) reportTarget(loc geom.Point) (radio.NodeID, geom.Point) {
 		if bestD < 0 || d < bestD {
 			// ID-ascending walk: strict improvement keeps the lowest ID
 			// on ties.
-			bestID, bestLoc, bestD = radio.NodeID(id), tr.loc, d
+			bestID, bestLoc, bestD = radio.NodeID(tr.id), tr.loc, d
 		}
 	}
 	if bestD < 0 {
@@ -307,11 +307,11 @@ func (s *Sensor) expireRobots(now sim.Time) {
 	deadline := now.Sub(s.cfg.Reliability.RobotExpiry)
 	for i := range s.robots {
 		tr := &s.robots[i]
-		id := radio.NodeID(i)
+		id := radio.NodeID(tr.id)
 		if !tr.known || id == s.manager || tr.heard >= deadline {
 			continue
 		}
-		*tr = robotTrack{floodSeq: tr.floodSeq, flooded: tr.flooded}
+		*tr = robotTrack{id: tr.id, floodSeq: tr.floodSeq, flooded: tr.flooded}
 		s.table.Remove(id)
 		if s.target == id {
 			s.target = 0
@@ -327,8 +327,8 @@ func (s *Sensor) expireRobots(now sim.Time) {
 // adoptManager retargets the sensor at a new manager announced by a
 // takeover flood.
 func (s *Sensor) adoptManager(t wire.ManagerTakeover, now sim.Time) {
-	if t.Manager < 0 {
-		return // defensive: a slice-indexed track table cannot hold it
+	if !trackable(t.Manager) {
+		return // defensive: no station has this ID
 	}
 	s.manager = t.Manager
 	tr := s.robotSlot(t.Manager) // keep the accepted Seq; takeovers carry none

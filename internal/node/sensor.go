@@ -89,8 +89,10 @@ type guardee struct {
 
 // robotTrack is the last accepted state for a known robot or manager, and
 // the flood duplicate suppression for that station as a flood origin.
-// Robot IDs are small and dense, so tracks live in an ID-indexed slice:
-// the per-tick scans walk contiguous memory instead of hashing map keys.
+// A sensor hears only the few robots near it, however large the fleet, so
+// its tracks are a short ID-ascending list of the stations it has heard
+// (robotIndex): the per-tick scans walk contiguous memory, and memory
+// grows with the robots heard, not with the fleet.
 type robotTrack struct {
 	loc   geom.Point
 	seq   uint64
@@ -99,9 +101,15 @@ type robotTrack struct {
 	// when flooded. Unlike the rest of the track it outlives expiry: a
 	// sensor relays each flood instance once, whatever it forgot since.
 	floodSeq uint64
+	id       int32 // station ID; trackable keeps it in range
 	known    bool
 	flooded  bool
 }
+
+// trackable reports whether id fits a robot track. Station IDs are
+// positive and far below 2^31; the guards drop anything else a forged or
+// corrupted frame could carry.
+func trackable(id radio.NodeID) bool { return id >= 0 && id <= math.MaxInt32 }
 
 // Sensor is one static sensor node.
 //
@@ -135,7 +143,7 @@ type Sensor struct {
 
 	target    radio.NodeID // failure report destination
 	targetLoc geom.Point
-	robots    []robotTrack // robots/managers and flood origins by NodeID (never guardians)
+	robots    []robotTrack // robots/managers and flood origins heard, ID-ascending (never guardians)
 
 	// replayRejected counts robot updates dropped by the StrictSeq guard.
 	replayRejected uint64
@@ -240,22 +248,39 @@ func (s *Sensor) Guardees() []radio.NodeID {
 
 // robotAt returns the track of a known robot, or nil.
 func (s *Sensor) robotAt(id radio.NodeID) *robotTrack {
-	if id < 0 || int(id) >= len(s.robots) || !s.robots[id].known {
-		return nil
+	if i, ok := s.robotIndex(id); ok && s.robots[i].known {
+		return &s.robots[i]
 	}
-	return &s.robots[id]
+	return nil
 }
 
-// robotSlot grows the track table as needed and returns id's slot. The
-// table grows to exactly id+1: sizing it to the fleet up front would cost
-// every sensor that only ever hears a few low-numbered robots.
-func (s *Sensor) robotSlot(id radio.NodeID) *robotTrack {
-	if int(id) >= len(s.robots) {
-		grown := make([]robotTrack, id+1)
-		copy(grown, s.robots)
-		s.robots = grown
+// robotIndex binary-searches the ID-ascending tracks for id: it returns
+// id's index and true, or the index at which id belongs and false.
+func (s *Sensor) robotIndex(id radio.NodeID) (int, bool) {
+	lo, hi := 0, len(s.robots)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if radio.NodeID(s.robots[m].id) < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	return &s.robots[id]
+	return lo, lo < len(s.robots) && radio.NodeID(s.robots[lo].id) == id
+}
+
+// robotSlot returns id's track, inserting an empty one in ID order when
+// id was never heard. id must be trackable. The list grows by append:
+// sizing it to the fleet up front would cost every sensor a fleet-sized
+// table although it hears only its neighbourhood's robots.
+func (s *Sensor) robotSlot(id radio.NodeID) *robotTrack {
+	i, ok := s.robotIndex(id)
+	if !ok {
+		s.robots = append(s.robots, robotTrack{})
+		copy(s.robots[i+1:], s.robots[i:])
+		s.robots[i] = robotTrack{id: int32(id)}
+	}
+	return &s.robots[i]
 }
 
 // guardeeAt returns the index of id in the guardee list, or -1.
@@ -317,14 +342,14 @@ func (s *Sensor) ClosestKnownRobot() (radio.NodeID, geom.Point, bool) {
 	var bestID radio.NodeID
 	var bestLoc geom.Point
 	bestD := -1.0
-	for id := range s.robots {
-		tr := &s.robots[id]
+	for i := range s.robots {
+		tr := &s.robots[i]
 		if !tr.known {
 			continue
 		}
 		d := s.pos.Dist2(tr.loc)
 		if bestD < 0 || d < bestD {
-			bestID, bestLoc, bestD = radio.NodeID(id), tr.loc, d
+			bestID, bestLoc, bestD = radio.NodeID(tr.id), tr.loc, d
 		}
 	}
 	return bestID, bestLoc, bestD >= 0
@@ -627,8 +652,8 @@ func (s *Sensor) hearNeighbor(from radio.NodeID, loc geom.Point, now sim.Time) {
 
 // noteRobot records a robot's position and refreshes target/table state.
 func (s *Sensor) noteRobot(up wire.RobotUpdate, now sim.Time) {
-	if up.Robot < 0 {
-		return // defensive: a slice-indexed track table cannot hold it
+	if !trackable(up.Robot) {
+		return // defensive: no station has this ID
 	}
 	tr := s.robotSlot(up.Robot)
 	if s.cfg.StrictSeq && tr.known && up.Seq < tr.seq {
@@ -658,8 +683,8 @@ func (s *Sensor) noteRobot(up wire.RobotUpdate, now sim.Time) {
 // the first copy of its (origin, seq) instance seen here, and marks it
 // handled; later copies and lower sequence numbers report false.
 func (s *Sensor) freshFlood(m netstack.FloodMsg) bool {
-	if m.Origin < 0 {
-		return false // defensive: a slice-indexed track table cannot hold it
+	if !trackable(m.Origin) {
+		return false // defensive: no station has this ID
 	}
 	tr := s.robotSlot(m.Origin)
 	if tr.flooded && m.Seq <= tr.floodSeq {

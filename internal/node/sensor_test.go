@@ -450,10 +450,11 @@ func TestFloodDedupPerOrigin(t *testing.T) {
 // lastFloodSeq reads the highest flood Seq s has handled from origin out
 // of its robot tracks; ok is false when no flood from origin was handled.
 func lastFloodSeq(s *Sensor, origin radio.NodeID) (uint64, bool) {
-	if origin < 0 || int(origin) >= len(s.robots) || !s.robots[origin].flooded {
+	i, ok := s.robotIndex(origin)
+	if !ok || !s.robots[i].flooded {
 		return 0, false
 	}
-	return s.robots[origin].floodSeq, true
+	return s.robots[i].floodSeq, true
 }
 
 // TestFloodLastSeq pins what the robot tracks remember per flood origin:

@@ -30,7 +30,7 @@ func (s *Sensor) AppendState(b []byte) []byte {
 		b = checkpoint.AppendF64(b, float64(g.lastHeard))
 	}
 
-	// Robot tracks: known entries only, slice index order (ID-ascending).
+	// Robot tracks: known entries only, in list order (ID-ascending).
 	known := 0
 	for i := range s.robots {
 		if s.robots[i].known {
@@ -43,7 +43,7 @@ func (s *Sensor) AppendState(b []byte) []byte {
 		if !tr.known {
 			continue
 		}
-		b = checkpoint.AppendI64(b, int64(i))
+		b = checkpoint.AppendI64(b, int64(tr.id))
 		b = checkpoint.AppendF64(b, tr.loc.X)
 		b = checkpoint.AppendF64(b, tr.loc.Y)
 		b = checkpoint.AppendU64(b, tr.seq)
@@ -53,7 +53,7 @@ func (s *Sensor) AppendState(b []byte) []byte {
 	b = s.table.AppendState(b)
 
 	// Flood duplicate suppression: every origin with a handled flood,
-	// slice index order (origin-ascending), expired tracks included.
+	// in list order (origin-ascending), expired tracks included.
 	flooded := 0
 	for i := range s.robots {
 		if s.robots[i].flooded {
@@ -63,7 +63,7 @@ func (s *Sensor) AppendState(b []byte) []byte {
 	b = checkpoint.AppendU32(b, uint32(flooded))
 	for i := range s.robots {
 		if tr := &s.robots[i]; tr.flooded {
-			b = checkpoint.AppendI64(b, int64(i))
+			b = checkpoint.AppendI64(b, int64(tr.id))
 			b = checkpoint.AppendU64(b, tr.floodSeq)
 		}
 	}
