@@ -13,9 +13,11 @@ import (
 // reception, not per transmission, so a broadcast heard by ~10 stations
 // fills most of the ring with its own buffer: a replay almost always
 // re-delivers the transmission being received or the one just before it.
-// Buffers handed to Corrupt are never modified in place — mutations copy
-// first — so the ring can hold references (the medium encodes each
-// transmission into a fresh buffer).
+// Buffers handed to Corrupt are never modified in place. The ring keeps
+// its own copy of each one, so the medium may reuse a transmission's
+// buffer once it is delivered, and a mutation is written into one scratch
+// buffer that the next mutation overwrites (the medium decodes what
+// Corrupt returns at once).
 type FrameCorrupter struct {
 	entries []Corruption
 	now     func() sim.Time
@@ -24,6 +26,8 @@ type FrameCorrupter struct {
 	ring    [8][]byte
 	ringN   int // occupied slots
 	ringPos int // next slot to overwrite
+	// mutated is the scratch buffer bit flips and garbage are written to.
+	mutated []byte
 }
 
 // NewFrameCorrupter builds the corrupter for the plan's corruption
@@ -54,7 +58,7 @@ func (c *FrameCorrupter) active(now float64) (Corruption, bool) {
 func (c *FrameCorrupter) Corrupt(b []byte) (out []byte, corrupted, dup bool) {
 	// Capture before deciding so the replay ring has history by the time
 	// a window opens.
-	c.ring[c.ringPos] = b
+	c.ring[c.ringPos] = append(c.ring[c.ringPos][:0], b...)
 	c.ringPos = (c.ringPos + 1) % len(c.ring)
 	if c.ringN < len(c.ring) {
 		c.ringN++
@@ -71,11 +75,11 @@ func (c *FrameCorrupter) Corrupt(b []byte) (out []byte, corrupted, dup bool) {
 	case "truncate":
 		return b[:c.rand.Intn(len(b))], true, false
 	case "garbage":
-		g := make([]byte, len(b), len(b)+8)
-		copy(g, b)
+		g := append(c.mutated[:0], b...)
 		for n := 1 + c.rand.Intn(8); n > 0; n-- {
 			g = append(g, byte(c.rand.Intn(256)))
 		}
+		c.mutated = g
 		return g, true, false
 	case "duplicate":
 		return b, false, true
@@ -84,12 +88,12 @@ func (c *FrameCorrupter) Corrupt(b []byte) (out []byte, corrupted, dup bool) {
 		// is indistinguishable from duplication, which is fine.
 		return c.ring[c.rand.Intn(c.ringN)], true, false
 	default: // bitflip
-		g := make([]byte, len(b))
-		copy(g, b)
+		g := append(c.mutated[:0], b...)
 		for n := 1 + c.rand.Intn(3); n > 0; n-- {
 			bit := c.rand.Intn(len(g) * 8)
 			g[bit/8] ^= 1 << (bit % 8)
 		}
+		c.mutated = g
 		return g, true, false
 	}
 }

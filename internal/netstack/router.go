@@ -13,8 +13,9 @@ import (
 const DefaultTTL = 64
 
 // NeighborSource supplies a node's candidate next hops at forwarding time.
-// The returned view may share the source's own storage: the router only
-// reads it, and stops reading it when it transmits.
+// The returned view may share storage with the source, or with every
+// MediumSource on the same medium: the router only reads it, and stops
+// reading it when it transmits.
 type NeighborSource interface {
 	RoutingNeighbors() NeighborView
 }
@@ -44,23 +45,16 @@ type MediumSource struct {
 	Self   radio.NodeID
 	// Host supplies the querying node's position and range.
 	Host Host
-
-	// entries and out are reusable query buffers: the router consumes the
-	// returned slice before the next hop's query can run, so the per-hop
-	// neighbor lookup is allocation-free in the steady state.
-	entries []radio.RangeEntry
-	out     []Neighbor
 }
 
-// RoutingNeighbors implements NeighborSource. The returned view is valid
-// until the next call and must not be retained.
+// RoutingNeighbors implements NeighborSource with a view of the medium's
+// range-query scratch (radio.Medium.InRangeScratch), which every
+// MediumSource on the medium shares. The view is valid until the next
+// query on the medium. Router.process reads it only before the hop's
+// transmit, the one point where a synchronous delivery could start
+// another node's query.
 func (s *MediumSource) RoutingNeighbors() NeighborView {
-	s.entries = s.Medium.AppendInRange(s.entries[:0], s.Host.RadioPos(), s.Host.RadioRange(), s.Self)
-	s.out = s.out[:0]
-	for _, e := range s.entries {
-		s.out = append(s.out, Neighbor{ID: e.ID, Loc: e.Loc})
-	}
-	return ViewOf(s.out)
+	return NeighborView{ranged: s.Medium.InRangeScratch(s.Host.RadioPos(), s.Host.RadioRange(), s.Self)}
 }
 
 var _ NeighborSource = (*MediumSource)(nil)

@@ -24,6 +24,8 @@ type testNode struct {
 
 	delivered []Packet
 	drops     []DropReason
+	// onDeliver, when set, runs after a packet is delivered here.
+	onDeliver func(Packet)
 }
 
 func (n *testNode) RadioID() radio.NodeID { return n.id }
@@ -35,7 +37,12 @@ func (n *testNode) HandleFrame(f radio.Frame) {
 		n.router.Receive(p)
 	}
 }
-func (n *testNode) DeliverPacket(p Packet)            { n.delivered = append(n.delivered, p) }
+func (n *testNode) DeliverPacket(p Packet) {
+	n.delivered = append(n.delivered, p)
+	if n.onDeliver != nil {
+		n.onDeliver(p)
+	}
+}
 func (n *testNode) DropPacket(_ Packet, r DropReason) { n.drops = append(n.drops, r) }
 
 var (
@@ -394,5 +401,40 @@ func TestRoutingLeavesTableUnchanged(t *testing.T) {
 	}
 	if delivered == 0 {
 		t.Fatal("no packet delivered")
+	}
+}
+
+// TestMediumSourcesShareScratchReentrantly routes through two robots whose
+// MediumSources share their medium's range-query scratch. Robot 1's packet
+// goes 1 → 2 → n18; its synchronous delivery at n18 makes robot 1
+// originate a second packet, whose route through robot 2 queries the
+// scratch again while both robots' first hops are still on the stack.
+// Both routes must be the ones private query buffers give.
+func TestMediumSourcesShareScratchReentrantly(t *testing.T) {
+	tn := newTestNet()
+	for i := 0; i <= 12; i++ {
+		tn.add(radio.NodeID(10+i), geom.Pt(float64(i)*50, 0), 63)
+	}
+	a := tn.add(1, geom.Pt(0, 10), 250)
+	b := tn.add(2, geom.Pt(240, 0), 250)
+	tn.fillTables()
+	for _, r := range []*testNode{a, b} {
+		r.router.Source = &MediumSource{Medium: tn.medium, Self: r.id, Host: r}
+		r.router.RecordPaths = true
+	}
+	near, far := tn.nodes[18], tn.nodes[22]
+	near.onDeliver = func(Packet) {
+		a.router.Originate(Packet{Dst: far.id, DstLoc: far.pos, Category: "t"})
+	}
+	a.router.Originate(Packet{Dst: near.id, DstLoc: near.pos, Category: "t"})
+
+	if len(near.delivered) != 1 || len(far.delivered) != 1 {
+		t.Fatalf("delivered %d and %d packets, want 1 each", len(near.delivered), len(far.delivered))
+	}
+	if got, want := near.delivered[0].Path, []radio.NodeID{1, 2, 18}; !slices.Equal(got, want) {
+		t.Errorf("first route %v, want %v", got, want)
+	}
+	if got, want := far.delivered[0].Path, []radio.NodeID{1, 2, 19, 20, 21, 22}; !slices.Equal(got, want) {
+		t.Errorf("second route %v, want %v", got, want)
 	}
 }

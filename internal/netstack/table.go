@@ -283,10 +283,13 @@ func (t *NeighborTable) AppendAll(dst []Neighbor) []Neighbor {
 }
 
 // NeighborView is a read-only, ID-ascending sequence of neighbors: a
-// table's peers merged with its located entries, or a plain list.
+// table's peers merged with its located entries, a plain list, or the
+// result of a medium range query (ranged, which never comes with peers or
+// located entries).
 type NeighborView struct {
 	peers   []peer
 	located []Neighbor
+	ranged  []radio.RangeEntry
 	medium  *radio.Medium
 }
 
@@ -295,7 +298,7 @@ type NeighborView struct {
 func ViewOf(list []Neighbor) NeighborView { return NeighborView{located: list} }
 
 // Len reports the number of neighbors in the view.
-func (v NeighborView) Len() int { return len(v.peers) + len(v.located) }
+func (v NeighborView) Len() int { return len(v.peers) + len(v.located) + len(v.ranged) }
 
 // Iter returns an iterator positioned before the view's first neighbor.
 func (v NeighborView) Iter() NeighborIter { return NeighborIter{v: v} }
@@ -318,6 +321,12 @@ func (it *NeighborIter) Next() (Neighbor, bool) {
 	if it.j < len(v.located) {
 		it.j++
 		return v.located[it.j-1], true
+	}
+	// A ranged view has no located entries, so j indexes its list.
+	if it.j < len(v.ranged) {
+		e := v.ranged[it.j]
+		it.j++
+		return Neighbor{ID: e.ID, Loc: e.Loc}, true
 	}
 	return Neighbor{}, false
 }

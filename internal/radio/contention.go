@@ -109,10 +109,11 @@ func (a *air) busyUntil(st NodeID, now sim.Time) (sim.Time, bool) {
 // retry-bounded behaviour while guaranteeing simulation progress).
 const csmaMaxDefers = 16
 
-// transmission is one contended send from Send to delivery: every event
-// of its backoff, carrier-sense deferrals and airtime runs the same bound
-// step, so a send allocates this record and one func value whatever its
-// number of attempts.
+// transmission is one send from Send to delivery under the contention
+// model or a Channel: every event of its backoff, carrier-sense deferrals
+// and airtime runs the same bound step. Records come from the medium's
+// free list and go back on it once delivered, keeping their step func and
+// their encode buffer, so a warmed medium sends without allocating either.
 type transmission struct {
 	m   *Medium
 	f   Frame
@@ -131,15 +132,48 @@ type transmission struct {
 	enc encoded
 }
 
+// txFreeCap bounds the free list. Sends come in bursts — a field's boot
+// puts ~800 in flight at once, later floods hundreds — and keeping every
+// record a burst leaves behind would hold it and its buffer live for the
+// rest of the run. Between bursts few sends overlap: 16 records serve
+// nine sends in ten of the hostile-central16 benchmark workload.
+const txFreeCap = 16
+
+// takeTransmission returns a reset record, recycled when the free list
+// has one. The popped slot is cleared so the list's backing array does
+// not keep a record it no longer owns alive.
+func (m *Medium) takeTransmission() *transmission {
+	if n := len(m.txFree); n > 0 {
+		t := m.txFree[n-1]
+		m.txFree[n-1] = nil
+		m.txFree = m.txFree[:n-1]
+		return t
+	}
+	t := &transmission{m: m}
+	t.step = t.advance
+	return t
+}
+
+// putTransmission hands a delivered record back to the free list, or to
+// the garbage collector once the list is full. It drops the frame and the
+// shared decode so a parked record pins no payload, and keeps the step
+// func and the encode buffer's storage.
+func (m *Medium) putTransmission(t *transmission) {
+	if len(m.txFree) == txFreeCap {
+		return
+	}
+	*t = transmission{m: m, step: t.step, enc: encoded{b: t.enc.b[:0]}}
+	m.txFree = append(m.txFree, t)
+}
+
 // sendContended implements Send under the contention model: CSMA-style
 // carrier sensing with random backoff, then the frame occupies the air for
 // its airtime; receivers decode it only if nothing else they can hear
-// overlaps (hidden terminals still collide, as in real 802.11). b is the
-// Channel's encoding of f, nil without a Channel.
-func (m *Medium) sendContended(f Frame, b []byte, pos sendSnapshot) {
+// overlaps (hidden terminals still collide, as in real 802.11). t is a
+// fresh record holding the Channel's encoding of f, if any.
+func (m *Medium) sendContended(t *transmission, f Frame, pos sendSnapshot) {
 	m.frameSeq++
-	t := &transmission{m: m, f: f, pos: pos, id: m.frameSeq, enc: encoded{b: b}}
-	t.step = t.advance
+	t.f, t.pos, t.id = f, pos, m.frameSeq
 	m.tryTransmit(t)
 }
 
@@ -205,8 +239,10 @@ func (m *Medium) senseAndTransmit(t *transmission) {
 }
 
 // deliverContended hands the frame to every in-range receiver, in ID
-// order, that heard no overlapping transmission over its airtime.
+// order, that heard no overlapping transmission over its airtime. The
+// record goes back to the free list when it returns, whichever way.
 func (m *Medium) deliverContended(t *transmission) {
+	defer m.putTransmission(t)
 	f, pos := t.f, t.pos
 	var tx *encoded
 	if m.cfg.Channel != nil {

@@ -163,3 +163,67 @@ func TestContentionConfigEnabled(t *testing.T) {
 		t.Fatal("model without Rand should be disabled")
 	}
 }
+
+// westOutage silences every station west of x = 0.
+type westOutage struct{}
+
+func (westOutage) Silenced(p geom.Point) bool { return p.X < 0 }
+
+// TestTransmissionFreeListBounded drains a burst of far more contended
+// sends than the free list keeps — broadcasts, unicasts to a detached
+// station and broadcasts from a silenced region, so every delivery return
+// path runs — and requires the list to end at its cap with no parked
+// record pinning a frame. A second burst the size of the cap must then
+// run on recycled records alone, and the slots it pops must be cleared so
+// the list's spare capacity keeps no record alive.
+func TestTransmissionFreeListBounded(t *testing.T) {
+	m, _, sched := newTestMedium(Config{
+		Outage:     westOutage{},
+		Contention: ContentionConfig{Airtime: 0.001, MaxBackoff: 0.05, Rand: rng.New(3)},
+	})
+	const n = 10 * txFreeCap
+	for i := 0; i < n; i++ {
+		// A 20 × 8 grid 100 m apart with 63 m range: nobody hears anybody,
+		// so every send of a burst is in flight at once.
+		m.Attach(&fakeStation{id: NodeID(i + 1), pos: geom.Pt(float64(i%20)*100-500, float64(i/20)*100), rng: 63})
+	}
+	send := func(k int) {
+		for i := 0; i < k; i++ {
+			f := Frame{Src: NodeID(i + 1), Dst: IDBroadcast, Category: "x", Payload: i}
+			if i%3 == 1 {
+				f.Dst = n + 50 // never attached
+			}
+			m.Send(f)
+		}
+	}
+	send(n)
+	sched.RunAll()
+	if len(m.txFree) != txFreeCap {
+		t.Fatalf("free list holds %d records after %d sends drained, want the cap %d", len(m.txFree), n, txFreeCap)
+	}
+	parked := map[*transmission]bool{}
+	for _, tr := range m.txFree {
+		if tr.f.Payload != nil || tr.enc.decoded || tr.step == nil {
+			t.Fatalf("parked record not reset: %+v", tr)
+		}
+		parked[tr] = true
+	}
+	send(txFreeCap)
+	if len(m.txFree) != 0 {
+		t.Fatalf("free list holds %d records with the cap in flight, want 0", len(m.txFree))
+	}
+	for i, tr := range m.txFree[:cap(m.txFree)] {
+		if tr != nil {
+			t.Fatalf("popped free-list slot %d still holds a record", i)
+		}
+	}
+	sched.RunAll()
+	if len(m.txFree) != txFreeCap {
+		t.Fatalf("free list holds %d records after a burst of %d, want %d", len(m.txFree), txFreeCap, txFreeCap)
+	}
+	for _, tr := range m.txFree {
+		if !parked[tr] {
+			t.Fatal("a burst within the cap made a new record instead of recycling one")
+		}
+	}
+}

@@ -17,9 +17,9 @@ type countingCodec struct {
 	encodes, decodes int
 }
 
-func (c *countingCodec) Encode(f radio.Frame) ([]byte, error) {
+func (c *countingCodec) AppendEncode(dst []byte, f radio.Frame) ([]byte, error) {
 	c.encodes++
-	return c.FrameCodec.Encode(f)
+	return c.FrameCodec.AppendEncode(dst, f)
 }
 
 func (c *countingCodec) Decode(b []byte) (radio.Frame, error) {

@@ -96,10 +96,12 @@ type Auditor interface {
 // decoded frame, while every buffer the Corrupter substitutes (a mutated
 // copy or a replay of another transmission) meets the same defensive
 // decoding a real radio would need. Decode must be a pure function of its
-// bytes. Encode must return a fresh buffer each call; delivered buffers
-// are never mutated.
+// bytes and must not retain them. AppendEncode appends the encoding of f
+// to dst and returns the extended slice; the medium owns that buffer and
+// reuses it for a later transmission once every reception of this one has
+// been decoded.
 type Channel interface {
-	Encode(f Frame) ([]byte, error)
+	AppendEncode(dst []byte, f Frame) ([]byte, error)
 	Decode(b []byte) (Frame, error)
 }
 
@@ -107,7 +109,11 @@ type Channel interface {
 // reception with the sender's encoding; it must never modify b in place
 // (the buffer is shared across all receivers of one transmission) and
 // returns the bytes to decode, whether they were mutated, and whether the
-// frame additionally arrives a second time (duplication).
+// frame additionally arrives a second time (duplication). b is valid only
+// for the call: the medium reuses it once the transmission is delivered,
+// so a corrupter that keeps bytes for later (a replay capture) must copy
+// them. The medium decodes out before the next Corrupt call and keeps
+// nothing of it, so out may be storage the corrupter reuses.
 type Corrupter interface {
 	Corrupt(b []byte) (out []byte, corrupted, dup bool)
 }
@@ -235,6 +241,11 @@ type Medium struct {
 	// buffers in use.
 	bufs  [][]neighbor
 	depth int
+	// rangeScratch is InRangeScratch's buffer.
+	rangeScratch []RangeEntry
+	// txFree recycles transmission records, their bound step funcs and
+	// their encode buffers (see takeTransmission).
+	txFree []*transmission
 	// collisionCt is the pre-resolved handle for the contention model's
 	// per-reception collision accounting.
 	collisionCt *metrics.Counter
@@ -518,6 +529,16 @@ func (m *Medium) AppendInRange(dst []RangeEntry, p geom.Point, radius float64, e
 	return dst
 }
 
+// InRangeScratch returns the active stations strictly within radius of p
+// (excluding exclude) in ID-sorted order, in a buffer the medium owns:
+// the result is valid only until the next InRangeScratch call on this
+// medium, whoever makes it. It is the routing scratch that every
+// ground-truth next-hop query of a world shares (netstack.MediumSource).
+func (m *Medium) InRangeScratch(p geom.Point, radius float64, exclude NodeID) []RangeEntry {
+	m.rangeScratch = m.AppendInRange(m.rangeScratch[:0], p, radius, exclude)
+	return m.rangeScratch
+}
+
 // inRangeAppend appends the active stations strictly within radius of p
 // (excluding exclude) to dst in ID-sorted order and returns the extended
 // slice.
@@ -642,31 +663,47 @@ func (m *Medium) Send(f Frame) {
 	if m.audit != nil {
 		m.audit.FrameSent(f)
 	}
-	// With a channel installed the frame is serialized exactly once per
-	// transmission, into a fresh buffer (replay capture keeps references).
-	var b []byte
+	pos, rng := m.posOf(f.Src), src.RadioRange()
+	if m.cfg.Channel != nil || m.cfg.Contention.Enabled() {
+		m.sendRecorded(f, sendSnapshot{pos: pos, rng: rng})
+		return
+	}
+	if m.cfg.Latency <= 0 {
+		m.deliver(f, nil, pos, rng)
+		return
+	}
+	m.sched.After(m.cfg.Latency, func() { m.deliver(f, nil, pos, rng) })
+}
+
+// sendRecorded is Send with a Channel or under contention: the
+// transmission runs on a record from the free list, which goes back once
+// the frame is delivered. With a channel installed the frame is
+// serialized exactly once per transmission, into the record's reused
+// buffer.
+func (m *Medium) sendRecorded(f Frame, pos sendSnapshot) {
+	t := m.takeTransmission()
 	if m.cfg.Channel != nil {
-		var err error
-		if b, err = m.cfg.Channel.Encode(f); err != nil {
+		b, err := m.cfg.Channel.AppendEncode(t.enc.b[:0], f)
+		if err != nil {
 			// Only payloads outside the wire message set fail to encode —
 			// a programming error, not a channel condition.
 			panic(fmt.Sprintf("radio: unencodable %s frame: %v", f.Category, err))
 		}
+		t.enc.b = b
 	}
-	pos, rng := m.posOf(f.Src), src.RadioRange()
 	if m.cfg.Contention.Enabled() {
-		m.sendContended(f, b, sendSnapshot{pos: pos, rng: rng})
+		m.sendContended(t, f, pos)
 		return
-	}
-	var tx *encoded
-	if m.cfg.Channel != nil {
-		tx = &encoded{b: b}
 	}
 	if m.cfg.Latency <= 0 {
-		m.deliver(f, tx, pos, rng)
+		m.deliver(f, &t.enc, pos.pos, pos.rng)
+		m.putTransmission(t)
 		return
 	}
-	m.sched.After(m.cfg.Latency, func() { m.deliver(f, tx, pos, rng) })
+	m.sched.After(m.cfg.Latency, func() {
+		m.deliver(f, &t.enc, pos.pos, pos.rng)
+		m.putTransmission(t)
+	})
 }
 
 // encoded is one transmission under a Channel: the sender's encoding and

@@ -47,8 +47,9 @@ var floodFrame = radio.Frame{Src: 25, Dst: radio.IDBroadcast, Category: metrics.
 // channel's codec with no Corrupter, at the paper's sensor density (50
 // sensors per 200 m × 200 m, 63 m range ⇒ 12 receivers): one Encode,
 // then one Decode shared by every reception. Its allocs/op is the
-// sender's buffer, the transmission record and the decoded frame's boxed
-// bodies — none of it per receiver.
+// decoded frame's two boxed bodies (the FloodMsg and the RobotUpdate it
+// nests): the transmission record and its encode buffer come from the
+// medium's free list, and nothing is paid per receiver.
 func BenchmarkFrameBroadcast(b *testing.B) {
 	m := codecMedium(b, 50, 200.0/7)
 	b.ReportAllocs()

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 
@@ -28,25 +29,42 @@ import (
 // frameHeaderSize is the CRC32 prefix length.
 const frameHeaderSize = 4
 
+// Decode's argument-free rejections are shared values: almost every
+// corrupted frame fails the checksum, and a rejection should cost the
+// receiver nothing.
+var (
+	errChecksum       = errors.New("wire: frame checksum mismatch")
+	errMalformedFrame = errors.New("wire: malformed frame body")
+)
+
 // FrameCodec implements radio.Channel with the CRC-protected layout above.
 type FrameCodec struct{}
 
-// Encode renders one frame into a single exactly sized buffer, nested
-// envelopes included. It fails on payloads outside the wire message set
-// and on a category or body longer than its u16 length prefix (65535
-// bytes) — programming errors, not channel conditions.
-func (FrameCodec) Encode(f radio.Frame) ([]byte, error) {
-	e := enc{b: make([]byte, frameHeaderSize, frameHeaderSize+8+8+2+len(f.Category)+nestedSize(f.Payload))}
+// AppendEncode appends one frame's encoding, nested envelopes included,
+// to dst and returns the extended slice, growing dst at most once. It
+// fails on payloads outside the wire message set and on a category or
+// body longer than its u16 length prefix (65535 bytes) — programming
+// errors, not channel conditions — and then returns dst unchanged.
+func (FrameCodec) AppendEncode(dst []byte, f radio.Frame) ([]byte, error) {
+	start, b := len(dst), dst
+	if need := frameHeaderSize + 8 + 8 + 2 + len(f.Category) + nestedSize(f.Payload); cap(b)-start < need {
+		b = append(make([]byte, 0, start+need), dst...)
+	}
+	e := enc{b: append(b, make([]byte, frameHeaderSize)...)}
 	e.id(f.Src)
 	e.id(f.Dst)
 	e.str(f.Category)
 	e.nested(f.Payload)
 	if e.err != nil {
-		return nil, e.err
+		return dst, e.err
 	}
-	binary.LittleEndian.PutUint32(e.b[:frameHeaderSize], crc32.ChecksumIEEE(e.b[frameHeaderSize:]))
+	body := e.b[start+frameHeaderSize:]
+	binary.LittleEndian.PutUint32(e.b[start:], crc32.ChecksumIEEE(body))
 	return e.b, nil
 }
+
+// Encode renders one frame into a single exactly sized buffer.
+func (c FrameCodec) Encode(f radio.Frame) ([]byte, error) { return c.AppendEncode(nil, f) }
 
 // Decode parses a received buffer. It rejects short buffers, checksum
 // mismatches, malformed bodies, and trailing bytes; for every accepted
@@ -56,12 +74,12 @@ func (FrameCodec) Decode(b []byte) (radio.Frame, error) {
 		return radio.Frame{}, fmt.Errorf("wire: frame shorter than its checksum (%d bytes)", len(b))
 	}
 	if binary.LittleEndian.Uint32(b[:frameHeaderSize]) != crc32.ChecksumIEEE(b[frameHeaderSize:]) {
-		return radio.Frame{}, fmt.Errorf("wire: frame checksum mismatch")
+		return radio.Frame{}, errChecksum
 	}
 	d := dec{b: b[frameHeaderSize:]}
 	f := radio.Frame{Src: d.id(), Dst: d.id(), Category: d.str(), Payload: d.nested()}
 	if d.bad {
-		return radio.Frame{}, fmt.Errorf("wire: malformed frame body")
+		return radio.Frame{}, errMalformedFrame
 	}
 	if len(d.b) != 0 {
 		return radio.Frame{}, fmt.Errorf("wire: %d trailing bytes after frame body", len(d.b))

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"reflect"
 	"strings"
 	"testing"
@@ -82,6 +84,22 @@ func TestFrameRoundTrip(t *testing.T) {
 		if n := testing.AllocsPerRun(10, func() { c.Encode(f) }); n != 1 {
 			t.Errorf("Encode(%+v): %v allocations, want 1", f, n)
 		}
+		// AppendEncode keeps dst's bytes and, given room, allocates nothing.
+		dst := append(make([]byte, 0, 3+len(b)), "pre"...)
+		if app, err := c.AppendEncode(dst, f); err != nil || string(app[:3]) != "pre" || !bytes.Equal(app[3:], b) {
+			t.Errorf("AppendEncode(%q, %+v) = %x, %v; want the prefix, then %x", dst, f, app, err, b)
+		}
+		if n := testing.AllocsPerRun(10, func() { c.AppendEncode(dst[:0], f) }); n != 0 {
+			t.Errorf("AppendEncode(%+v) into a large enough buffer: %v allocations, want 0", f, n)
+		}
+		// The medium reuses a transmission's buffer once it is decoded,
+		// so the decoded frame must not alias it.
+		for i := range b {
+			b[i] = 0xFF
+		}
+		if !reflect.DeepEqual(got, f) {
+			t.Errorf("decoded frame changed with its buffer:\n got %+v\nwant %+v", got, f)
+		}
 	}
 }
 
@@ -138,6 +156,37 @@ func TestFrameDecodeRejectsMalformed(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := c.Decode(tc.b); err == nil {
 			t.Errorf("%s: Decode accepted %x", tc.name, tc.b)
+		}
+	}
+}
+
+// TestFrameRejectionsAllocateNothing decodes the two rejections a
+// corrupted frame almost always meets — a checksum mismatch, and a body
+// that does not parse under a valid checksum — and requires neither to
+// allocate: the errors are shared values.
+func TestFrameRejectionsAllocateNothing(t *testing.T) {
+	var c FrameCodec
+	b, err := c.Encode(radio.Frame{Src: 1, Dst: radio.IDBroadcast, Category: "beacon", Payload: Beacon{From: 1, Loc: geom.Pt(2, 3)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(b)
+	flipped[len(flipped)-1] ^= 1
+	short := bytes.Clone(b[:len(b)-1])
+	binary.LittleEndian.PutUint32(short, crc32.ChecksumIEEE(short[frameHeaderSize:]))
+	for _, tc := range []struct {
+		name string
+		b    []byte
+		want error
+	}{
+		{"checksum mismatch", flipped, errChecksum},
+		{"malformed body", short, errMalformedFrame},
+	} {
+		if _, err := c.Decode(tc.b); err != tc.want {
+			t.Fatalf("%s: Decode error %v, want %v", tc.name, err, tc.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.Decode(tc.b) }); n != 0 {
+			t.Errorf("%s: rejecting the frame made %v allocations, want 0", tc.name, n)
 		}
 	}
 }
