@@ -31,15 +31,15 @@ bench:
 # per-sensor footprint, the paper-density field (10k sensors, 200
 # robots), plus the kernel, radio (ideal and contended), wire-codec and
 # sensor steady-state microbenches, and writes the parsed metrics to
-# BENCH_PR22.json.
+# BENCH_PR23.json.
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput$$|BenchmarkSimulatorThroughputFTDC|BenchmarkWorldBuild|BenchmarkFieldFootprint|BenchmarkPaperDensityField' -benchmem -benchtime 3x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkSchedulerHotLoop$$|BenchmarkSchedulerChurn' -benchmem ./internal/sim ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkNeighborsDense|BenchmarkMediumBroadcast$$|BenchmarkContendedSend' -benchmem ./internal/radio ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFrameBroadcast' -benchmem ./internal/wire ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkSensorSteadyState' -benchmem ./internal/node ; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_PR22.json
-	@echo "wrote BENCH_PR22.json"
+	| $(GO) run ./cmd/benchjson -o BENCH_PR23.json
+	@echo "wrote BENCH_PR23.json"
 
 # Fast allocation check on the hot-path benchmarks only (seconds, not
 # minutes): scheduler churn, medium broadcast, a codec broadcast, a
@@ -77,16 +77,19 @@ bench-telemetry:
 
 # End-to-end exporter check: run a small telemetered simulation, then
 # validate that the Chrome trace parses, the Prometheus text scrapes,
-# and the time-series CSV is well-formed.
+# and the time-series CSV is well-formed — and is exactly the run's
+# flight recording rendered as CSV (one time-series store).
 telemetry-smoke:
 	$(GO) run ./cmd/repairsim -alg centralized -simtime 4000 -telemetry \
 		-prom /tmp/roborepair-metrics.txt \
 		-timeseries /tmp/roborepair-timeseries.csv \
-		-chrome-trace /tmp/roborepair-trace.json > /dev/null
+		-chrome-trace /tmp/roborepair-trace.json \
+		-ftdc /tmp/roborepair-telemetry.ftdc > /dev/null
 	$(GO) run ./cmd/telemetryck \
 		-chrome /tmp/roborepair-trace.json \
 		-prom /tmp/roborepair-metrics.txt \
 		-csv /tmp/roborepair-timeseries.csv
+	$(GO) run ./cmd/ftdcdump -csv /tmp/roborepair-telemetry.ftdc | cmp - /tmp/roborepair-timeseries.csv
 
 # Conservation-law sweep: every algorithm under every built-in chaos
 # plan, with the runtime invariant checker on; exits nonzero on any
@@ -122,7 +125,7 @@ conformance-smoke:
 # (decode → re-encode byte-identical) on a real capture.
 ftdc-smoke:
 	$(GO) test ./internal/ftdc
-	$(GO) test -run 'TestRecorder|TestTelemetryDropped' ./internal/scenario
+	$(GO) test -run 'TestRecorder|TestTelemetryReadsTheRecording' ./internal/scenario
 	$(GO) run ./cmd/repairsim -alg dynamic -simtime 4000 -ftdc /tmp/roborepair-a.ftdc > /dev/null
 	$(GO) run ./cmd/repairsim -alg dynamic -simtime 4000 -ftdc /tmp/roborepair-b.ftdc > /dev/null
 	$(GO) run ./cmd/ftdcdump -verify /tmp/roborepair-a.ftdc

@@ -328,7 +328,8 @@ func liveHeap() int64 {
 }
 
 // BenchmarkSimulatorThroughputTelemetry is the same workload with the full
-// telemetry layer on (histograms, five gauges at the default cadence).
+// telemetry layer on (histograms, and the flight recorder it arms at the
+// default cadence).
 // Compare against BenchmarkSimulatorThroughput to measure the enabled
 // overhead; the target is <10% on both ns/op and sim-s/s.
 func BenchmarkSimulatorThroughputTelemetry(b *testing.B) {

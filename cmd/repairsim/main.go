@@ -85,7 +85,7 @@ func run(args []string) error {
 	fs.BoolVar(&cfg.Invariants.Enabled, "invariants", false, "run the conservation-law checker; violations print and exit nonzero")
 	telemetryOn := fs.Bool("telemetry", false, "enable telemetry and print its summary")
 	prom := fs.String("prom", "", "write metrics in Prometheus text format to this file (implies -telemetry)")
-	timeseries := fs.String("timeseries", "", "write the gauge time series to this CSV file (implies -telemetry)")
+	timeseries := fs.String("timeseries", "", "write the recorded time series to this CSV file (implies -telemetry)")
 	chromeTrace := fs.String("chrome-trace", "", "write a Chrome trace_event JSON to this file, for chrome://tracing or ui.perfetto.dev (implies -telemetry)")
 	ftdcPath := fs.String("ftdc", "", "write the run's flight-recorder capture (compact binary time series) to this file; decode with ftdcdump")
 	verbose := fs.Bool("v", false, "dump the full metrics registry")

@@ -35,6 +35,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -47,7 +48,6 @@ import (
 	"roborepair"
 	"roborepair/internal/chaos"
 	"roborepair/internal/runner"
-	"roborepair/internal/telemetry"
 )
 
 // algNames renders the registered algorithm names for flag help.
@@ -88,8 +88,8 @@ func run(args []string) error {
 	recharge := fs.Float64("recharge", 250, "depot recharge watts when -battery is set (0 = starvation mode)")
 	invariants := fs.Bool("invariants", false, "run the conservation-law checker per run; adds a violations column and exits nonzero on any")
 	telemetryOn := fs.Bool("telemetry", false, "enable per-run telemetry collection")
-	timeseries := fs.String("timeseries", "", "write per-run gauge time series to this CSV file (implies -telemetry)")
-	sampleEvery := fs.Float64("sample-every", 0, "gauge sampling cadence in sim seconds (0 = default 250)")
+	timeseries := fs.String("timeseries", "", "write per-run recorded time series to this CSV file (implies -telemetry)")
+	sampleEvery := fs.Float64("sample-every", 0, "flight-recorder (and so -timeseries) sampling cadence in sim seconds (0 = default 250)")
 	progress := fs.Bool("progress", false, "print live grid progress to stderr")
 	journalPath := fs.String("journal", "", "journal completed runs to this file (crash-safe; an existing matching journal is resumed)")
 	resume := fs.Bool("resume", false, "require -journal to already exist and resume it (error when absent)")
@@ -157,10 +157,8 @@ func run(args []string) error {
 				if *battery > 0 {
 					cfg.Battery = &roborepair.BatteryConfig{CapacityJ: *battery, RechargeW: *recharge}
 				}
-				if *telemetryOn || *timeseries != "" {
-					cfg.Telemetry.Enabled = true
-					cfg.Telemetry.SamplePeriodS = *sampleEvery
-				}
+				cfg.Telemetry.Enabled = *telemetryOn || *timeseries != ""
+				cfg.Recorder.SamplePeriodS = *sampleEvery
 				if err := apply(&cfg, *param, v); err != nil {
 					return err
 				}
@@ -216,14 +214,6 @@ func run(args []string) error {
 	if *stats {
 		fmt.Fprintln(os.Stderr, st.String())
 	}
-	dropped := 0
-	for _, r := range results {
-		dropped += r.Res.TelemetryDropped
-	}
-	if dropped > 0 {
-		fmt.Fprintf(os.Stderr, "sweep: warning: %d telemetry samples lost to ring eviction; "+
-			"the -timeseries CSV is truncated — sample less often (-sample-every)\n", dropped)
-	}
 	if *timeseries != "" {
 		if err := writeTimeSeries(*timeseries, *param, results); err != nil {
 			return err
@@ -276,7 +266,7 @@ func run(args []string) error {
 	return nil
 }
 
-// writeTimeSeries dumps every run's sampled gauge series into one CSV,
+// writeTimeSeries dumps every run's recorded time series into one CSV,
 // each row prefixed with the run-identifying columns. Results arrive in
 // stable input order and sampling is driven by sim time, so the file is
 // byte-identical whatever the worker count.
@@ -287,21 +277,31 @@ func writeTimeSeries(path, param string, results []runner.Result) error {
 	}
 	defer f.Close()
 	wroteHeader := false
+	var csv bytes.Buffer
 	for _, r := range results {
 		if r.Err != nil || r.Res.Telemetry == nil {
 			continue
 		}
-		sp := r.Res.Telemetry.Sampler()
+		csv.Reset()
+		if err := r.Res.Telemetry.WriteCSV(&csv); err != nil {
+			return err
+		}
+		header, rows, _ := strings.Cut(csv.String(), "\n")
 		if !wroteHeader {
-			if err := telemetry.WriteTimeSeriesHeader(f, sp, "algorithm,param,value,seed,"); err != nil {
+			if _, err := fmt.Fprintf(f, "algorithm,param,value,seed,%s\n", header); err != nil {
 				return err
 			}
 			wroteHeader = true
 		}
 		prefix := fmt.Sprintf("%s,%s,%g,%d,",
 			r.Job.Config.Algorithm, param, r.Job.Tag.(cell).value, r.Job.Config.Seed)
-		if err := telemetry.WriteTimeSeriesRows(f, sp, prefix); err != nil {
-			return err
+		for _, row := range strings.SplitAfter(rows, "\n") {
+			if row == "" {
+				continue
+			}
+			if _, err := fmt.Fprint(f, prefix, row); err != nil {
+				return err
+			}
 		}
 	}
 	return f.Close()

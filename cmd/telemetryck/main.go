@@ -10,9 +10,7 @@
 //	telemetryck -chrome trace.json -prom metrics.txt -csv series.csv
 //
 // Any failed check prints a diagnostic and exits nonzero; missing flags
-// skip their check. A Prometheus file reporting nonzero
-// roborepair_telemetry_dropped_rows_total (gauge samples lost to ring
-// eviction) prints a truncation warning to stderr.
+// skip their check.
 package main
 
 import (
@@ -20,8 +18,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"roborepair/internal/analysis"
 )
@@ -64,32 +60,7 @@ func run(args []string) error {
 		}
 		fmt.Printf("%s: ok\n", c.path)
 	}
-	if prom != "" {
-		if n, err := promDroppedRows(prom); err != nil {
-			return fmt.Errorf("%s: %w", prom, err)
-		} else if n > 0 {
-			fmt.Fprintf(os.Stderr, "telemetryck: warning: %s reports %d telemetry samples lost to "+
-				"ring eviction; the retained time-series window is truncated\n", prom, n)
-		}
-	}
 	return nil
-}
-
-// promDroppedRows extracts the sampler's ring-eviction counter from a
-// Prometheus text file, 0 when the series is absent (registry-only
-// exports have no sampler).
-func promDroppedRows(path string) (int, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	const series = "roborepair_telemetry_dropped_rows_total "
-	for _, line := range strings.Split(string(b), "\n") {
-		if rest, ok := strings.CutPrefix(line, series); ok {
-			return strconv.Atoi(strings.TrimSpace(rest))
-		}
-	}
-	return 0, nil
 }
 
 func checkFile(path string, check func(io.Reader) error) error {

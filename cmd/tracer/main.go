@@ -71,7 +71,7 @@ func run(args []string) error {
 	cfg.Algorithm = alg
 	cfg.TraceCapacity = -1
 	if *chromeTrace != "" {
-		// The exporter also draws the sampled gauge counters as tracks.
+		// The exporter also draws the recorded columns as counter tracks.
 		cfg.Telemetry.Enabled = true
 	}
 

@@ -3,7 +3,7 @@
 // so the repair backlog climbs while the radios are down, then the robots
 // burn it back down once reports get through. This example runs one
 // telemetered simulation, prints the backlog curve around the blackout,
-// and writes the full gauge time series as a gnuplot-ready CSV.
+// and writes the full recorded time series as a gnuplot-ready CSV.
 //
 // Plot it:
 //
@@ -34,7 +34,7 @@ func main() {
 	cfg.Faults = plan
 	cfg.Reliability.Enabled = true
 	cfg.Telemetry.Enabled = true
-	cfg.Telemetry.SamplePeriodS = 100 // fine-grained: 240 samples over the run
+	cfg.Recorder.SamplePeriodS = 100 // fine-grained: 241 samples over the run
 
 	res, err := roborepair.Run(cfg)
 	if err != nil {
@@ -47,9 +47,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sp := res.Telemetry.Sampler()
-	times := sp.Times()
-	backlog := sp.Series("pending_failures")
+	rec, err := res.Recording.Recording()
+	if err != nil {
+		log.Fatal(err)
+	}
+	times := rec.Column("t_s")
+	backlog := rec.Column("pending_failures")
 	peak, peakAt := 0.0, 0.0
 	for i, v := range backlog {
 		if v > peak {

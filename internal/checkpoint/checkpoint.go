@@ -6,7 +6,7 @@
 // followed by typed sections, each individually CRC-32-guarded. Sections
 // carry the serialized dynamic state of one subsystem — kernel event
 // stamps, RNG stream positions, sensor/robot/manager state vectors, the
-// radio grid, chaos windows, telemetry ring positions — in the repo's wire
+// radio grid, chaos windows, flight-recorder chunks — in the repo's wire
 // conventions: fixed-width little-endian scalars, float64 bit patterns,
 // strict 0/1 booleans, u32-length-prefixed byte strings.
 //
@@ -39,7 +39,7 @@ import (
 // versions: snapshot state mirrors internal struct layouts, so there is no
 // cross-version compatibility promise — the gate turns skew into a clean
 // error instead of a garbage restore.
-const Version uint16 = 1
+const Version uint16 = 2
 
 // magic identifies a snapshot file ("RoboRepair SNapshot").
 var magic = [4]byte{'R', 'R', 'S', 'N'}
@@ -59,7 +59,7 @@ const (
 	SecRadio     SectionID = 7  // medium station table: active flags, positions
 	SecChaos     SectionID = 8  // fault-plan dynamic state (corrupter capture ring)
 	SecMetrics   SectionID = 9  // metrics registry counters and accumulators
-	SecTelemetry SectionID = 10 // telemetry histograms and sampler ring positions
+	SecTelemetry SectionID = 10 // telemetry histograms
 	SecFTDC      SectionID = 11 // flight recorder chunks and pending sample tail
 )
 
@@ -337,6 +337,13 @@ func WriteFile(path string, s *Snapshot) error {
 	if err != nil {
 		return err
 	}
+	return WriteFileAtomic(path, b)
+}
+
+// WriteFileAtomic writes b to path through a temp file in the same
+// directory: write, sync, close, then rename over path. A crash mid-write
+// leaves the previous file under path intact.
+func WriteFileAtomic(path string, b []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {

@@ -7,10 +7,9 @@ import (
 	"strings"
 )
 
-// promName sanitizes a column name into the Prometheus charset
-// [a-zA-Z0-9_] and prefixes the simulator namespace (mirroring the
-// telemetry exporter's convention).
-func promName(name string) string {
+// PromName sanitizes a metric name into the Prometheus charset
+// [a-zA-Z0-9_] and prefixes the simulator namespace.
+func PromName(name string) string {
 	var b strings.Builder
 	b.WriteString("roborepair_")
 	for _, r := range name {
@@ -37,9 +36,9 @@ func (e *errWriter) printf(format string, args ...any) {
 	_, e.err = fmt.Fprintf(e.w, format, args...)
 }
 
-// WriteCSV renders the recording as CSV — the same shape as the
-// telemetry exporter's time-series CSV: a header of column names, then
-// one row per sample, %g-formatted.
+// WriteCSV renders the recording as CSV: a header of column names, then
+// one row per sample, %g-formatted. It is also telemetry's -timeseries
+// CSV.
 func WriteCSV(w io.Writer, r *Recording) error {
 	bw := &errWriter{w: w}
 	for i, name := range r.Schema.Cols {
@@ -72,7 +71,7 @@ func WritePrometheus(w io.Writer, r *Recording) error {
 	}
 	last := len(r.Chunks) - 1
 	for c, name := range r.Schema.Cols {
-		pn := promName(name)
+		pn := PromName(name)
 		bw.printf("# TYPE %s gauge\n", pn)
 		bw.printf("%s %g\n", pn, r.Chunks[last].Cols[c][r.Chunks[last].Rows-1])
 	}

@@ -39,7 +39,8 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
+
+	"roborepair/internal/checkpoint"
 )
 
 // Version is the current recording format version. Decode rejects other
@@ -723,7 +724,7 @@ func WriteFile(path string, r *Recording) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(path, b)
+	return checkpoint.WriteFileAtomic(path, b)
 }
 
 // ReadFile reads and decodes a recording file.
@@ -733,25 +734,4 @@ func ReadFile(path string) (*Recording, error) {
 		return nil, err
 	}
 	return Decode(b)
-}
-
-func writeFileAtomic(path string, b []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

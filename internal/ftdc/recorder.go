@@ -15,7 +15,7 @@ type Config struct {
 	// Enabled switches the recorder on.
 	Enabled bool `json:"enabled,omitempty"`
 	// SamplePeriodS is the sampling cadence in simulated seconds
-	// (default 250, matching the telemetry sampler).
+	// (default 250). Telemetry's time series shares this cadence.
 	SamplePeriodS float64 `json:"samplePeriodS,omitempty"`
 	// ChunkRows is how many samples accumulate before a chunk is
 	// delta-encoded and compressed (default 120; 64 Ki max).
@@ -206,6 +206,16 @@ func (r *Recorder) Bytes() ([]byte, error) {
 	return out, nil
 }
 
+// Recording decodes the capture so far (Bytes, then Decode): the
+// time-series view every exporter reads.
+func (r *Recorder) Recording() (*Recording, error) {
+	b, err := r.Bytes()
+	if err != nil {
+		return nil, err
+	}
+	return Decode(b)
+}
+
 // WriteFile atomically writes the recording to path (temp file, sync,
 // rename — the checkpoint write pattern).
 func (r *Recorder) WriteFile(path string) error {
@@ -213,7 +223,7 @@ func (r *Recorder) WriteFile(path string) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(path, b)
+	return checkpoint.WriteFileAtomic(path, b)
 }
 
 // AppendState serializes the recorder's dynamic state for the checkpoint

@@ -3,6 +3,7 @@ package ftdc
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -52,6 +53,13 @@ func TestRecorderRoundTrip(t *testing.T) {
 	}
 	if rec.Schema.Seed != 7 || rec.Schema.PeriodS != 250 {
 		t.Fatalf("schema: %+v", rec.Schema)
+	}
+	view, err := r.Recording()
+	if err != nil {
+		t.Fatalf("Recording: %v", err)
+	}
+	if !reflect.DeepEqual(view, rec) {
+		t.Fatal("Recording() differs from Decode(Bytes())")
 	}
 }
 

@@ -7,18 +7,22 @@ import (
 	"strings"
 )
 
-// Histogram is a fixed-width-bucket histogram with quantile estimation;
-// used for distributional views the mean hides (e.g. the p99 repair delay
-// under burst backlogs).
+// Histogram is a bucketed histogram with quantile estimation; used for
+// distributional views the mean hides (e.g. the p99 repair delay under
+// burst backlogs). Buckets are either fixed-width (NewHistogram) or
+// doubling (NewDoublingHistogram), the latter spanning several decades
+// with constant relative error in a handful of buckets.
 type Histogram struct {
-	width    float64
+	width    float64 // bucket width; the upper bound of bucket 0 when doubling
+	doubling bool
 	counts   []uint64
 	overflow uint64
 	acc      Accumulator
 }
 
 // NewHistogram returns a histogram with `buckets` buckets of the given
-// width covering [0, width·buckets); larger samples land in overflow.
+// width covering [0, width·buckets); bucket i holds [i·width, (i+1)·width)
+// and larger samples land in overflow.
 func NewHistogram(width float64, buckets int) *Histogram {
 	if width <= 0 {
 		width = 1
@@ -29,22 +33,61 @@ func NewHistogram(width float64, buckets int) *Histogram {
 	return &Histogram{width: width, counts: make([]uint64, buckets)}
 }
 
-// Add ingests one sample. Negative samples clamp to the first bucket.
-func (h *Histogram) Add(x float64) {
-	h.acc.Add(x)
-	if x < 0 {
-		x = 0
+// NewDoublingHistogram returns a histogram whose bucket 0 covers
+// [0, first] and whose every following bucket doubles the upper bound, up
+// to first·2^(buckets−1); larger samples land in overflow. Bounds come
+// from exact float doubling, so a sample equal to a bound lands in the
+// bucket that bound closes. Non-positive first defaults to 1.
+func NewDoublingHistogram(first float64, buckets int) *Histogram {
+	h := NewHistogram(first, buckets)
+	h.doubling = true
+	return h
+}
+
+// UpperBound reports the upper bound of bucket i.
+func (h *Histogram) UpperBound(i int) float64 {
+	if h.doubling {
+		return math.Ldexp(h.width, i)
 	}
-	idx := int(x / h.width)
-	if idx >= len(h.counts) {
-		h.overflow++
+	return float64(i+1) * h.width
+}
+
+// bucket locates the bucket for x ≥ 0, or len(counts) for overflow.
+func (h *Histogram) bucket(x float64) int {
+	if !h.doubling {
+		q := x / h.width
+		if q >= float64(len(h.counts)) {
+			return len(h.counts)
+		}
+		return int(q)
+	}
+	for i := range h.counts {
+		if x <= h.UpperBound(i) {
+			return i
+		}
+	}
+	return len(h.counts)
+}
+
+// Add ingests one sample. Negative samples clamp to the first bucket,
+// +Inf lands in overflow, and NaN is dropped.
+func (h *Histogram) Add(x float64) {
+	if math.IsNaN(x) {
 		return
 	}
-	h.counts[idx]++
+	h.acc.Add(x)
+	if i := h.bucket(math.Max(x, 0)); i < len(h.counts) {
+		h.counts[i]++
+	} else {
+		h.overflow++
+	}
 }
 
 // N reports the number of samples.
 func (h *Histogram) N() int { return h.acc.N() }
+
+// Sum reports the exact sample total.
+func (h *Histogram) Sum() float64 { return h.acc.Sum() }
 
 // Mean reports the exact sample mean.
 func (h *Histogram) Mean() float64 { return h.acc.Mean() }
@@ -52,11 +95,17 @@ func (h *Histogram) Mean() float64 { return h.acc.Mean() }
 // Max reports the exact maximum sample.
 func (h *Histogram) Max() float64 { return h.acc.Max() }
 
+// Buckets reports the number of regular (non-overflow) buckets.
+func (h *Histogram) Buckets() int { return len(h.counts) }
+
+// Count reports the occupancy of bucket i.
+func (h *Histogram) Count(i int) uint64 { return h.counts[i] }
+
 // Overflow reports samples beyond the bucketed range.
 func (h *Histogram) Overflow() uint64 { return h.overflow }
 
 // Quantile estimates the q-quantile (0 < q ≤ 1) from the buckets, using
-// the bucket upper edge. Overflowed mass reports the observed maximum.
+// the bucket upper bound. Overflowed mass reports the observed maximum.
 func (h *Histogram) Quantile(q float64) float64 {
 	n := uint64(h.acc.N())
 	if n == 0 {
@@ -76,7 +125,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	for i, c := range h.counts {
 		cum += c
 		if cum >= target {
-			return float64(i+1) * h.width
+			return h.UpperBound(i)
 		}
 	}
 	return h.acc.Max()
@@ -140,15 +189,3 @@ func (r *Registry) HistNames() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Width reports the fixed bucket width.
-func (h *Histogram) Width() float64 { return h.width }
-
-// Buckets reports the number of regular (non-overflow) buckets.
-func (h *Histogram) Buckets() int { return len(h.counts) }
-
-// Count reports the occupancy of bucket i.
-func (h *Histogram) Count(i int) uint64 { return h.counts[i] }
-
-// Sum reports the exact sample total.
-func (h *Histogram) Sum() float64 { return h.acc.Sum() }

@@ -27,6 +27,89 @@ func TestHistogramQuantiles(t *testing.T) {
 	if got := h.Quantile(1); math.Abs(got-100) > 1 {
 		t.Fatalf("p100 = %v, want ≈100", got)
 	}
+
+	d := NewDoublingHistogram(1, 10) // bounds 1,2,4,...,512
+	for i := 1; i <= 100; i++ {
+		d.Add(float64(i))
+	}
+	if d.N() != 100 || d.Max() != 100 {
+		t.Fatalf("doubling n/max = %d/%v", d.N(), d.Max())
+	}
+	if got, want := d.Mean(), 50.5; math.Abs(got-want) > 1e-9 {
+		t.Fatalf("doubling mean = %v, want %v", got, want)
+	}
+	// Rank 50 falls in (32,64], rank 99 in (64,128]: the upper bounds;
+	// q0 is the minimum.
+	for _, c := range []struct{ q, want float64 }{{0.5, 64}, {0.99, 128}, {0, 1}} {
+		if got := d.Quantile(c.q); got != c.want {
+			t.Errorf("doubling q%v = %v, want %v", c.q, got, c.want)
+		}
+	}
+}
+
+// TestHistogramBucketBoundaries pins both bucket-edge rules: a fixed-width
+// bucket i holds [i·w, (i+1)·w), so a sample on an edge moves up; a
+// doubling bucket closes at its bound, so a sample on a bound stays down.
+func TestHistogramBucketBoundaries(t *testing.T) {
+	cases := []struct {
+		doubling bool
+		x        float64
+		want     int // bucket index, or -1 for overflow
+	}{
+		{false, 0, 0}, {false, 9.999, 0}, {false, 10, 1}, {false, 39.999, 3},
+		{false, 40, -1}, {false, -3, 0},
+		{true, 0, 0}, {true, 10, 0}, {true, 10.0001, 1}, {true, 20, 1},
+		{true, 20.0001, 2}, {true, 40, 2}, {true, 80, 3},
+		{true, 80.0001, -1}, {true, 1e9, -1}, {true, -3, 0},
+	}
+	for _, c := range cases {
+		h := NewHistogram(10, 4)
+		if c.doubling {
+			h = NewDoublingHistogram(10, 4)
+		}
+		h.Add(c.x)
+		if c.want < 0 {
+			if h.Overflow() != 1 {
+				t.Errorf("doubling=%v Add(%v): want overflow, got buckets %v", c.doubling, c.x, h.counts)
+			}
+			continue
+		}
+		if h.Count(c.want) != 1 {
+			t.Errorf("doubling=%v Add(%v): want bucket %d, got %v overflow=%d",
+				c.doubling, c.x, c.want, h.counts, h.Overflow())
+		}
+	}
+	linear, doubling := NewHistogram(30, 4), NewDoublingHistogram(10, 4)
+	for i, want := range []float64{30, 60, 90, 120} {
+		if got := linear.UpperBound(i); got != want {
+			t.Errorf("linear UpperBound(%d) = %v, want %v", i, got, want)
+		}
+	}
+	for i, want := range []float64{10, 20, 40, 80} {
+		if got := doubling.UpperBound(i); got != want {
+			t.Errorf("doubling UpperBound(%d) = %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestHistogramNonFiniteSamples: NaN is dropped and +Inf lands in overflow
+// for both bucket kinds, instead of indexing the buckets with int(±Inf)
+// or int(NaN).
+func TestHistogramNonFiniteSamples(t *testing.T) {
+	for _, h := range []*Histogram{NewHistogram(30, 240), NewDoublingHistogram(8, 16)} {
+		h.Add(math.NaN())
+		if h.N() != 0 {
+			t.Fatalf("NaN was ingested: n=%d", h.N())
+		}
+		h.Add(math.Inf(1))
+		h.Add(math.Inf(-1))
+		if h.N() != 2 || h.Overflow() != 1 || h.Count(0) != 1 {
+			t.Fatalf("n=%d overflow=%d bucket0=%d, want 2, 1, 1", h.N(), h.Overflow(), h.Count(0))
+		}
+		if !math.IsInf(h.Quantile(1), 1) {
+			t.Fatalf("top quantile = %v, want the +Inf maximum", h.Quantile(1))
+		}
+	}
 }
 
 func TestHistogramOverflow(t *testing.T) {
@@ -42,6 +125,16 @@ func TestHistogramOverflow(t *testing.T) {
 	}
 	if h.Max() != 1e6 {
 		t.Fatalf("Max = %v", h.Max())
+	}
+
+	d := NewDoublingHistogram(1, 2) // bounds 1, 2
+	d.Add(0.5)
+	d.Add(1000)
+	if d.Overflow() != 1 {
+		t.Fatalf("doubling overflow = %d", d.Overflow())
+	}
+	if got := d.Quantile(1); got != 1000 {
+		t.Fatalf("doubling q1 = %v, want observed max 1000", got)
 	}
 }
 

@@ -45,17 +45,23 @@ func (r *Registry) AppendState(b []byte) []byte {
 	sort.Strings(names)
 	b = checkpoint.AppendU32(b, uint32(len(names)))
 	for _, k := range names {
-		h := r.hists[k]
 		b = checkpoint.AppendString(b, k)
-		b = checkpoint.AppendF64(b, h.width)
-		b = checkpoint.AppendU32(b, uint32(len(h.counts)))
-		for _, c := range h.counts {
-			b = checkpoint.AppendU64(b, c)
-		}
-		b = checkpoint.AppendU64(b, h.overflow)
-		b = appendAccumulator(b, &h.acc)
+		b = r.hists[k].AppendState(b)
 	}
 	return b
+}
+
+// AppendState serializes the histogram's bucket layout and dynamic state
+// (a checkpoint section fragment).
+func (h *Histogram) AppendState(b []byte) []byte {
+	b = checkpoint.AppendF64(b, h.width)
+	b = checkpoint.AppendBool(b, h.doubling)
+	b = checkpoint.AppendU32(b, uint32(len(h.counts)))
+	for _, c := range h.counts {
+		b = checkpoint.AppendU64(b, c)
+	}
+	b = checkpoint.AppendU64(b, h.overflow)
+	return appendAccumulator(b, &h.acc)
 }
 
 func appendAccumulator(b []byte, a *Accumulator) []byte {

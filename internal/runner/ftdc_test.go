@@ -131,3 +131,27 @@ func TestFTDCDumpOnViolation(t *testing.T) {
 		t.Fatalf("dump ends at t=%v, want %v", got, jobs[0].Config.SimTime)
 	}
 }
+
+// TestFTDCBlackBoxKeepsCadenceAndTelemetryRows: the runner-armed black box
+// samples at the configured cadence, and keeps every chunk when telemetry
+// reads the recording as its time series.
+func TestFTDCBlackBoxKeepsCadenceAndTelemetryRows(t *testing.T) {
+	cfg := tinyConfig(core.Dynamic, 1)
+	cfg.Recorder.SamplePeriodS = 10
+	cfg.Recorder.ChunkRows = 20
+	for _, telemetryOn := range []bool{false, true} {
+		cfg.Telemetry.Enabled = telemetryOn
+		results, _, err := Run([]Job{{Config: cfg}}, Options{Procs: 1, FTDCDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := results[0].Res.Recording
+		if got := rec.Schema().PeriodS; got != 10 {
+			t.Fatalf("telemetry=%v: black box samples every %v s, want 10", telemetryOn, got)
+		}
+		// 301 samples in 20-row chunks: the black box keeps the last 4.
+		if evicted := rec.EvictedChunks(); (evicted > 0) == telemetryOn {
+			t.Fatalf("telemetry=%v: %d chunks evicted", telemetryOn, evicted)
+		}
+	}
+}

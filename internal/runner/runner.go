@@ -148,9 +148,10 @@ type Options struct {
 	// dumps the retained recording to FTDCDir/job-NNNNNN.ftdc when that
 	// job panics or finishes with invariant violations. Jobs whose
 	// configs already enable recording keep their own settings; the rest
-	// are armed in bounded last-N-chunk retention mode, which does not
-	// perturb results (the recorder only reads simulation state). Clean
-	// jobs leave no file behind.
+	// are armed at their configured cadence, in bounded last-N-chunk
+	// retention mode unless telemetry is on (its time series is the whole
+	// recording). Arming does not perturb results (the recorder only reads
+	// simulation state). Clean jobs leave no file behind.
 	FTDCDir string
 }
 
@@ -208,7 +209,12 @@ func runOne(cfg scenario.Config, ckptPath string, every float64, ftdcPath string
 		}
 	}()
 	if ftdcPath != "" && !cfg.Recorder.Enabled {
-		cfg.Recorder = ftdc.Config{Enabled: true, KeepChunks: blackBoxKeep}
+		// The configured cadence stays. Telemetry reads the whole
+		// recording as its time series, so it keeps every chunk.
+		cfg.Recorder.Enabled = true
+		if !cfg.Telemetry.Enabled {
+			cfg.Recorder.KeepChunks = blackBoxKeep
+		}
 	}
 	if ckptPath == "" {
 		if ftdcPath == "" {

@@ -27,7 +27,7 @@ func ckptConfig(alg core.Algorithm) Config {
 	switch alg {
 	case core.Fixed:
 		cfg.Telemetry.Enabled = true
-		cfg.Telemetry.SamplePeriodS = 100
+		cfg.Recorder.SamplePeriodS = 100
 	case core.Dynamic:
 		plan, err := chaos.Parse("corrupt@400-1200=0.1")
 		if err != nil {

@@ -12,12 +12,25 @@ import (
 // Flight recorder columns, in sample order. Column 0 is the sample time.
 // Every column records an integral value (raw counters rather than
 // derived rates) so the recorder's integer delta mode applies and the
-// capture stays an order of magnitude below the equivalent CSV.
+// capture stays an order of magnitude below the equivalent CSV. The
+// recording is also telemetry's time series: its -timeseries CSV, gauge
+// lines and counter tracks carry exactly these columns.
 const (
 	// FTDCColTime is the sample's simulated time in seconds.
 	FTDCColTime = "t_s"
-	// FTDCColEventsFired is the kernel's cumulative fired-event count —
-	// the raw series behind the telemetry events_per_simsec rate.
+	// GaugePendingFailures is the repair backlog: sensors killed so far
+	// minus replacements deployed.
+	GaugePendingFailures = "pending_failures"
+	// GaugeRobotQueueDepth is the total work queued on robots, counting an
+	// in-service task as one.
+	GaugeRobotQueueDepth = "robot_queue_depth"
+	// GaugeInflightReports is the number of failure reports awaiting an ack
+	// across all sensors (0 unless the reliability extension is on).
+	GaugeInflightReports = "inflight_reports"
+	// GaugeEventQueueDepth is the simulation kernel's pending event count.
+	GaugeEventQueueDepth = "event_queue_depth"
+	// FTDCColEventsFired is the kernel's cumulative fired-event count; its
+	// difference over a sample period is the event rate.
 	FTDCColEventsFired = "events_fired"
 	// FTDCColViolations is the cumulative invariant-violation count (0
 	// when Config.Invariants is off).
@@ -37,6 +50,12 @@ const (
 	// radio transmission counts of the two chattiest categories.
 	FTDCColTxLocUpdate     = "tx_location_update"
 	FTDCColTxFailureReport = "tx_failure_report"
+	// GaugeFleetAlive is the number of operational robots (battery layer;
+	// recorded only when Config.Battery is set).
+	GaugeFleetAlive = "fleet_alive"
+	// GaugeBatteryMinJ is the lowest pack level across live robots in whole
+	// joules (battery layer; recorded only when Config.Battery is set).
+	GaugeBatteryMinJ = "battery_min_j"
 )
 
 // Chaos bitmask bits for FTDCColChaosActive.
@@ -48,8 +67,7 @@ const (
 	chaosBitDrain
 )
 
-// ftdcColumns is the recorder schema: the time column, the telemetry
-// gauges (same readings the sampler takes, minus the derived rate), then
+// ftdcColumns is the recorder schema: the time column, the gauges, then
 // cumulative counters and the invariant/chaos markers. When the battery
 // layer is on, startRecorder appends GaugeFleetAlive and GaugeBatteryMinJ
 // after these, so battery-off captures keep the legacy layout.
@@ -69,10 +87,6 @@ var ftdcColumns = []string{
 	FTDCColViolations,
 	FTDCColChaosActive,
 }
-
-// Shared gauge bodies: the telemetry sampler registers them as gauges and
-// the flight recorder samples them directly, so both layers report the
-// same deterministic readings.
 
 // gaugePendingFailures is the repair backlog: sensors killed so far minus
 // replacements deployed.
@@ -184,11 +198,13 @@ func (w *World) chaosActiveBits(t float64) float64 {
 }
 
 // startRecorder builds the flight recorder and arms its sampling ticker
-// (t=0, then every period). Called from New only when
-// Config.Recorder.Enabled — with recording off, World.Recorder stays nil
+// (t=0, then every period). Called from New only when Config.Recorder or
+// Config.Telemetry is enabled — with both off, World.Recorder stays nil
 // and the run is bit-identical to an unrecorded one.
 func (w *World) startRecorder() error {
-	cfg := w.Cfg.Recorder.WithDefaults()
+	cfg := w.Cfg.Recorder
+	cfg.Enabled = true
+	cfg = cfg.WithDefaults()
 	cols := ftdcColumns
 	battery := w.Cfg.Battery != nil
 	if battery {

@@ -1,13 +1,13 @@
 package scenario
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"roborepair/internal/chaos"
 	"roborepair/internal/core"
 	"roborepair/internal/ftdc"
-	"roborepair/internal/telemetry"
 )
 
 func ftdcTestConfig(seed int64) Config {
@@ -106,8 +106,8 @@ func TestRecorderCapturesRun(t *testing.T) {
 
 // TestRecorderOutputBeatsCSVTenfold is the tentpole's size target: the
 // binary capture must be at least 10× smaller than the equivalent
-// time-series CSV — the same columns, rows, and cadence rendered the way
-// WriteTimeSeriesCSV renders the sampler (header line, %g rows).
+// time-series CSV — the same columns, rows, and cadence rendered by
+// ftdc.WriteCSV (header line, %g rows).
 func TestRecorderOutputBeatsCSVTenfold(t *testing.T) {
 	cfg := ftdcTestConfig(9)
 	cfg.SimTime = 16000
@@ -232,25 +232,59 @@ func TestRecorderCheckpointRestore(t *testing.T) {
 	}
 }
 
-// TestTelemetryDroppedSurfaced forces ring eviction and checks the drop
-// count lands in Results.
-func TestTelemetryDroppedSurfaced(t *testing.T) {
-	cfg := telTestConfig(6)
-	cfg.Telemetry = telemetry.Config{Enabled: true, SamplePeriodS: 100, RingCapacity: 8}
-	res, err := Run(cfg)
+// TestTelemetryReadsTheRecording pins the single time-series store: with
+// the recorder on, adding telemetry leaves the recording byte-identical
+// (telemetry samples nothing itself), telemetry alone arms the same
+// recording, and the telemetry CSV is ftdc.WriteCSV of it, one row per
+// period from the t=0 baseline.
+func TestTelemetryReadsTheRecording(t *testing.T) {
+	cfg := ftdcTestConfig(6)
+	cfg.Recorder.SamplePeriodS = 100
+	capture := func(cfg Config) (Results, []byte) {
+		t.Helper()
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := res.Recording.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, b
+	}
+	_, recorded := capture(cfg)
+	cfg.Telemetry.Enabled = true
+	both, withTelemetry := capture(cfg)
+	if !bytes.Equal(recorded, withTelemetry) {
+		t.Fatal("enabling telemetry changed the recording")
+	}
+	cfg.Recorder.Enabled = false
+	_, telemetryOnly := capture(cfg)
+	if !bytes.Equal(recorded, telemetryOnly) {
+		t.Fatal("telemetry alone armed a different recording")
+	}
+
+	rec, err := ftdc.Decode(recorded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 31 samples into an 8-slot ring: 23 dropped.
-	if res.TelemetryDropped != 23 {
-		t.Fatalf("TelemetryDropped = %d, want 23", res.TelemetryDropped)
-	}
-	cfg.Telemetry.RingCapacity = 0 // default 4096 holds everything
-	res, err = Run(cfg)
-	if err != nil {
+	var got, want bytes.Buffer
+	if err := both.Telemetry.WriteCSV(&got); err != nil {
 		t.Fatal(err)
 	}
-	if res.TelemetryDropped != 0 {
-		t.Fatalf("TelemetryDropped = %d, want 0", res.TelemetryDropped)
+	if err := ftdc.WriteCSV(&want, rec); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("telemetry CSV is not the recording's:\n%s\nwant:\n%s", got.String(), want.String())
+	}
+	times := rec.Column(FTDCColTime)
+	if len(times) != 31 {
+		t.Fatalf("%d samples over 3000 s at 100 s, want 31", len(times))
+	}
+	for i, ts := range times {
+		if ts != float64(i)*100 {
+			t.Fatalf("sample %d at t=%v, want %v", i, ts, float64(i)*100)
+		}
 	}
 }

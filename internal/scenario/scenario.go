@@ -120,10 +120,12 @@ type Config struct {
 	// extension; disabled by default, reproducing the paper's
 	// fire-and-forget model).
 	Reliability ReliabilityConfig `json:"reliability,omitempty"`
-	// Telemetry enables the observability layer: latency histograms, a
-	// sim-time gauge sampler, and the Prometheus/CSV/Chrome-trace
-	// exporters. The zero value disables it entirely and reproduces the
-	// untelemetered simulator's behavior and allocations bit-for-bit.
+	// Telemetry enables the observability layer: latency histograms and
+	// the Prometheus/CSV/Chrome-trace exporters. It arms the flight
+	// recorder (Recorder's cadence and chunking apply), whose recording is
+	// the layer's time series. The zero value disables it entirely and
+	// reproduces the untelemetered simulator's behavior and allocations
+	// bit-for-bit.
 	Telemetry telemetry.Config `json:"telemetry,omitempty"`
 	// Recorder enables the FTDC-style flight recorder: a compact,
 	// columnar, delta-encoded binary capture of the simulation's vital
@@ -336,9 +338,6 @@ func (c Config) Validate() error {
 	if err := c.Faults.Validate(c.Robots); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
-	if err := c.Telemetry.Validate(); err != nil {
-		return fmt.Errorf("scenario: %w", err)
-	}
 	if err := c.Recorder.Validate(); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
@@ -483,19 +482,13 @@ type Results struct {
 	// Registry holds the full per-category accounting.
 	Registry *metrics.Registry `json:"-"`
 
-	// Telemetry holds the run's collector — histograms and the sampled
-	// time series — when Config.Telemetry is enabled; nil otherwise.
+	// Telemetry holds the run's collector — histograms and exporters
+	// over Recording — when Config.Telemetry is enabled; nil otherwise.
 	Telemetry *telemetry.Collector `json:"-"`
 
-	// TelemetryDropped counts samples the telemetry ring evicted to make
-	// room (Sampler.Dropped()): the retained CSV window silently starts
-	// that many samples late. Zero when telemetry is off or the ring held
-	// everything; surface it instead of truncating quietly.
-	TelemetryDropped int `json:"telemetryDropped,omitempty"`
-
-	// Recording holds the run's flight recorder when Config.Recorder is
-	// enabled; nil otherwise. Recording.Bytes() renders the capture;
-	// Recording.WriteFile banks it.
+	// Recording holds the run's flight recorder when Config.Recorder or
+	// Config.Telemetry is enabled; nil otherwise. Recording.Bytes()
+	// renders the capture; Recording.WriteFile banks it.
 	Recording *ftdc.Recorder `json:"-"`
 
 	// Violations lists the conservation-law breaches the invariant layer

@@ -24,75 +24,28 @@ const (
 	TelHistDecodeFail = "decode_failures"
 )
 
-// Telemetry gauge (time-series column) names, in sampling order.
-const (
-	// GaugePendingFailures is the repair backlog: sensors killed so far
-	// minus replacements deployed.
-	GaugePendingFailures = "pending_failures"
-	// GaugeRobotQueueDepth is the total work queued on robots, counting an
-	// in-service task as one.
-	GaugeRobotQueueDepth = "robot_queue_depth"
-	// GaugeInflightReports is the number of failure reports awaiting an ack
-	// across all sensors (0 unless the reliability extension is on).
-	GaugeInflightReports = "inflight_reports"
-	// GaugeEventQueueDepth is the simulation kernel's pending event count.
-	GaugeEventQueueDepth = "event_queue_depth"
-	// GaugeEventsPerSimSec is the kernel event rate over the last sample
-	// period (events fired per sim second).
-	GaugeEventsPerSimSec = "events_per_simsec"
-	// GaugeFleetAlive is the number of operational robots (battery layer;
-	// registered only when Config.Battery is set).
-	GaugeFleetAlive = "fleet_alive"
-	// GaugeBatteryMinJ is the lowest pack level across live robots in whole
-	// joules (battery layer; registered only when Config.Battery is set).
-	GaugeBatteryMinJ = "battery_min_j"
-)
-
-// startTelemetry builds the collector, registers the standard histograms
-// and gauges, and arms the sampler. Called from New only when
-// Config.Telemetry.Enabled — with telemetry off, World.Telemetry stays nil
-// and every hook feed reduces to one nil check.
-func (w *World) startTelemetry() error {
-	c := telemetry.NewCollector(w.Cfg.Telemetry)
+// startTelemetry builds the collector over the flight recorder and
+// registers the standard histograms. Called from New only when
+// Config.Telemetry.Enabled, after startRecorder — with telemetry off,
+// World.Telemetry stays nil and every hook feed reduces to one nil check.
+func (w *World) startTelemetry() {
+	c := telemetry.NewCollector(w.Recorder)
 	w.Telemetry = c
 
 	// Histograms fed by the lifecycle hooks in New. First-bucket widths and
 	// counts size each to the quantity's plausible range: repair delay
 	// 0..8 s through km-scale backlogs, hops and retx small integers, trips
 	// a few meters through field diagonals.
-	w.telRepairDelay = c.LogHistogram(TelHistRepairDelay, 8, 16)
-	w.telReportHops = c.LogHistogram(TelHistReportHops, 1, 8)
-	w.telReportRetx = c.LogHistogram(TelHistReportRetx, 1, 8)
-	w.telTrip = c.LogHistogram(TelHistTripMeters, 4, 16)
+	w.telRepairDelay = c.Histogram(TelHistRepairDelay, 8, 16)
+	w.telReportHops = c.Histogram(TelHistReportHops, 1, 8)
+	w.telReportRetx = c.Histogram(TelHistReportRetx, 1, 8)
+	w.telTrip = c.Histogram(TelHistTripMeters, 4, 16)
 	if w.hostile {
-		// Log buckets over sim time: 0..64 s in the first, the paper's full
-		// 64000 s horizon inside the last.
-		decode := c.LogHistogram(TelHistDecodeFail, 64, 12)
+		// Doubling buckets over sim time: 0..64 s in the first, the paper's
+		// full 64000 s horizon inside the last.
+		decode := c.Histogram(TelHistDecodeFail, 64, 12)
 		w.Medium.SetChannelDropHook(func(radio.Frame) {
 			decode.Add(float64(w.Sched.Now()))
 		})
 	}
-
-	// Gauges read only deterministic simulation state, so sampled series
-	// are identical whatever the surrounding experiment's worker count.
-	// The bodies are shared with the flight recorder (see ftdc.go).
-	c.Gauge(GaugePendingFailures, w.gaugePendingFailures)
-	c.Gauge(GaugeRobotQueueDepth, w.gaugeRobotQueueDepth)
-	c.Gauge(GaugeInflightReports, w.gaugeInflightReports)
-	c.Gauge(GaugeEventQueueDepth, w.gaugeEventQueueDepth)
-	var lastFired uint64
-	c.Gauge(GaugeEventsPerSimSec, func() float64 {
-		fired := w.Sched.Fired()
-		rate := float64(fired-lastFired) / c.Config().SamplePeriodS
-		lastFired = fired
-		return rate
-	})
-	if w.Cfg.Battery != nil {
-		// Appended after the stable columns so battery-off CSV layouts are
-		// untouched.
-		c.Gauge(GaugeFleetAlive, w.gaugeFleetAlive)
-		c.Gauge(GaugeBatteryMinJ, w.gaugeBatteryMinJ)
-	}
-
-	return c.Start(w.Sched)
 }

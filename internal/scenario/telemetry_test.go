@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"roborepair/internal/core"
@@ -30,8 +31,8 @@ func resultsJSON(t *testing.T, r Results) string {
 }
 
 // TestTelemetryDoesNotPerturbResults is the layer's core contract: turning
-// telemetry on must not change a single reported quantity. The sampler
-// rides the same scheduler but its gauges only read state.
+// telemetry on must not change a single reported quantity. The recorder it
+// arms rides the same scheduler but only reads state.
 func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 	for _, alg := range []core.Algorithm{core.Centralized, core.Fixed, core.Dynamic} {
 		cfg := telTestConfig(11)
@@ -113,15 +114,17 @@ func TestTelemetryHistogramsPopulated(t *testing.T) {
 	if c.Hist(TelHistReportRetx).N() != 0 {
 		t.Fatal("retx histogram fed without the reliability protocol")
 	}
-	sp := c.Sampler()
-	if sp.Len() == 0 {
-		t.Fatal("sampler recorded nothing")
+	rec, err := res.Recording.Recording()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sp.MaxOf(GaugeEventQueueDepth) == 0 {
-		t.Fatal("event queue depth never sampled above zero")
+	if rec.NumRows() == 0 {
+		t.Fatal("recording holds nothing")
 	}
-	if sp.MaxOf(GaugeEventsPerSimSec) == 0 {
-		t.Fatal("event rate never sampled above zero")
+	for _, name := range []string{GaugeEventQueueDepth, FTDCColEventsFired} {
+		if slices.Max(rec.Column(name)) == 0 {
+			t.Fatalf("%s never recorded above zero", name)
+		}
 	}
 }
 
@@ -171,12 +174,12 @@ func TestTelemetryPrometheusExport(t *testing.T) {
 	}
 }
 
-// TestTelemetryConfigValidation rejects a negative cadence via the
-// scenario-level Validate.
+// TestTelemetryConfigValidation rejects a negative time-series cadence
+// (the recorder's) via the scenario-level Validate.
 func TestTelemetryConfigValidation(t *testing.T) {
 	cfg := telTestConfig(1)
 	cfg.Telemetry.Enabled = true
-	cfg.Telemetry.SamplePeriodS = -5
+	cfg.Recorder.SamplePeriodS = -5
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("negative sample period accepted")
 	}

@@ -37,7 +37,7 @@ type World struct {
 	Injector  *failure.Injector
 	Trace     *trace.Log           // non-nil only when Config.TraceCapacity != 0
 	Telemetry *telemetry.Collector // non-nil only when Config.Telemetry.Enabled
-	Recorder  *ftdc.Recorder       // non-nil only when Config.Recorder.Enabled
+	Recorder  *ftdc.Recorder       // non-nil when Config.Recorder or Config.Telemetry is enabled
 
 	nextID   radio.NodeID
 	policy   node.Policy
@@ -73,10 +73,10 @@ type World struct {
 
 	// Telemetry histogram feeds; nil when telemetry is disabled, so the
 	// hooks pay one nil check.
-	telRepairDelay *telemetry.LogHistogram
-	telReportHops  *telemetry.LogHistogram
-	telReportRetx  *telemetry.LogHistogram
-	telTrip        *telemetry.LogHistogram
+	telRepairDelay *metrics.Histogram
+	telReportHops  *metrics.Histogram
+	telReportRetx  *metrics.Histogram
+	telTrip        *metrics.Histogram
 
 	// inv is the conservation-law checker; nil when Config.Invariants is
 	// disabled, so the hooks pay one nil check.
@@ -527,15 +527,14 @@ func New(cfg Config) (*World, error) {
 		})
 	}
 	w.scheduleFaults()
-	if cfg.Telemetry.Enabled {
-		if err := w.startTelemetry(); err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-	}
-	if cfg.Recorder.Enabled {
+	if cfg.Recorder.Enabled || cfg.Telemetry.Enabled {
+		// Telemetry's time series is the recording.
 		if err := w.startRecorder(); err != nil {
 			return nil, err
 		}
+	}
+	if cfg.Telemetry.Enabled {
+		w.startTelemetry()
 	}
 	return w, nil
 }
@@ -858,9 +857,6 @@ func (w *World) results() Results {
 	}
 	if w.inv != nil {
 		res.Violations = w.inv.Violations()
-	}
-	if w.Telemetry != nil {
-		res.TelemetryDropped = w.Telemetry.Sampler().Dropped()
 	}
 	res.Recording = w.Recorder
 	return res

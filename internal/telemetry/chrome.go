@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,7 +16,7 @@ const (
 	chromePidField     = 1 // failures, faults, report traffic
 	chromePidRobots    = 2 // one thread lane per robot
 	chromePidManager   = 3 // the centralized manager (when present)
-	chromePidTelemetry = 4 // sampler gauges as counter tracks
+	chromePidTelemetry = 4 // recorded columns as counter tracks
 )
 
 // ChromeOptions tunes the trace_event export.
@@ -24,7 +25,7 @@ type ChromeOptions struct {
 	// 1000 renders one sim second as one trace millisecond, so a 64000 s
 	// run spans a comfortable 64 s of trace time in Perfetto.
 	TimeScale float64
-	// Collector, when non-nil, adds the sampler's gauges as counter
+	// Collector, when non-nil, adds the recording's columns as counter
 	// tracks.
 	Collector *Collector
 	// ManagerID labels the centralized manager's lane (0 when the run has
@@ -74,7 +75,7 @@ type repairSpan struct {
 // boot) and instant markers (location updates, breakdowns, takeovers,
 // dispatches); the field process carries failure, fault, and report
 // markers; the manager gets its own lane; and, when a Collector is
-// supplied, every sampled gauge becomes a counter track. Repair slices on
+// supplied, every recorded column becomes a counter track. Repair slices on
 // one robot lane are clamped to be non-overlapping (queue wait folds into
 // the earliest running slice), keeping the JSON valid nesting-wise.
 func WriteChromeTrace(w io.Writer, log *trace.Log, opt ChromeOptions) error {
@@ -203,15 +204,18 @@ func WriteChromeTrace(w io.Writer, log *trace.Log, opt ChromeOptions) error {
 		}
 	}
 
-	// Sampled gauges as counter tracks.
+	// Recorded columns as counter tracks, timed by column 0.
 	if opt.Collector != nil {
-		sp := opt.Collector.Sampler()
-		names := sp.Names()
+		rec, err := opt.Collector.rec.Recording()
+		if err != nil {
+			return err
+		}
+		names := rec.Schema.Cols
 		out = append(out, meta(chromePidTelemetry, 0, "process_name", "telemetry"))
-		sp.Each(func(t float64, vals []float64) {
-			for i, v := range vals {
+		rec.EachRow(func(_ int, row []float64) {
+			for i, v := range row[1:] {
 				out = append(out, chromeEvent{
-					Name: names[i], Ph: "C", Ts: t * scale,
+					Name: names[i+1], Ph: "C", Ts: row[0] * scale,
 					Pid: chromePidTelemetry, Tid: 0,
 					Args: map[string]any{"value": v},
 				})
@@ -229,8 +233,8 @@ func WriteChromeTrace(w io.Writer, log *trace.Log, opt ChromeOptions) error {
 		return out[i].Ts < out[j].Ts
 	})
 
-	ew := &errWriter{w: w}
-	ew.printf("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
 	for i := range out {
 		b, err := json.Marshal(out[i])
 		if err != nil {
@@ -240,8 +244,8 @@ func WriteChromeTrace(w io.Writer, log *trace.Log, opt ChromeOptions) error {
 		if i == len(out)-1 {
 			sep = ""
 		}
-		ew.printf(" %s%s\n", b, sep)
+		fmt.Fprintf(bw, " %s%s\n", b, sep)
 	}
-	ew.printf("]}\n")
-	return ew.err
+	fmt.Fprintf(bw, "]}\n")
+	return bw.Flush()
 }

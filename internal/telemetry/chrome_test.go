@@ -8,8 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"roborepair/internal/ftdc"
 	"roborepair/internal/geom"
-	"roborepair/internal/sim"
 	"roborepair/internal/trace"
 )
 
@@ -35,17 +35,23 @@ func goldenLog() *trace.Log {
 	return l
 }
 
-func goldenCollector(t *testing.T) *Collector {
+// recordedCollector builds a collector over a recording of the given
+// columns (column 0 the sample time) and rows.
+func recordedCollector(t *testing.T, cols []string, rows ...[]float64) *Collector {
 	t.Helper()
-	sched := sim.NewScheduler()
-	c := NewCollector(Config{Enabled: true, SamplePeriodS: 100, RingCapacity: 16})
-	v := 0.0
-	c.Gauge("pending_failures", func() float64 { v++; return v })
-	if err := c.Start(sched); err != nil {
+	rec, err := ftdc.NewRecorder(ftdc.Schema{Cols: cols, PeriodS: 100}, ftdc.Config{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	sched.Run(250)
-	return c
+	for _, row := range rows {
+		rec.Append(row)
+	}
+	return NewCollector(rec)
+}
+
+// goldenCollector records pending_failures 1, 2, 3 at t = 0, 100, 200.
+func goldenCollector(t *testing.T) *Collector {
+	return recordedCollector(t, []string{"t_s", "pending_failures"}, []float64{0, 1}, []float64{100, 2}, []float64{200, 3})
 }
 
 // TestChromeTraceGolden locks the exporter's byte-exact output.

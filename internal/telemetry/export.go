@@ -1,156 +1,71 @@
 package telemetry
 
 import (
+	"bufio"
 	"fmt"
 	"io"
-	"strings"
 
+	"roborepair/internal/ftdc"
 	"roborepair/internal/metrics"
 )
-
-// promName sanitizes a metric name into the Prometheus charset
-// [a-zA-Z0-9_] and prefixes the simulator namespace.
-func promName(name string) string {
-	var b strings.Builder
-	b.WriteString("roborepair_")
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
 
 // promFloat renders a float in Prometheus exposition syntax.
 func promFloat(v float64) string { return fmt.Sprintf("%g", v) }
 
 // WritePrometheus renders one run's full accounting — the metrics
-// registry's transmission counters, sample series, and fixed-width
-// histograms, plus the collector's counters, log histograms, and latest
-// gauge readings — in the Prometheus text exposition format. Either reg
-// or c may be nil. Output order is fixed (sorted registry names,
-// registration-ordered collector names), so the text is deterministic for
-// a deterministic run.
+// registry's transmission counters, sample series, and histograms, plus
+// the collector's histograms and the recording's final sample as gauges —
+// in the Prometheus text exposition format. Either reg or c may be nil.
+// Output order is fixed (sorted registry names, registration-ordered
+// collector histograms, schema-ordered gauges), so the text is
+// deterministic for a deterministic run.
 func WritePrometheus(w io.Writer, reg *metrics.Registry, c *Collector) error {
-	bw := &errWriter{w: w}
+	bw := bufio.NewWriter(w)
 	if reg != nil {
-		bw.printf("# TYPE roborepair_tx_total counter\n")
+		fmt.Fprintf(bw, "# TYPE roborepair_tx_total counter\n")
 		for _, cat := range reg.Categories() {
-			bw.printf("roborepair_tx_total{category=%q} %d\n", cat, reg.Tx(cat))
+			fmt.Fprintf(bw, "roborepair_tx_total{category=%q} %d\n", cat, reg.Tx(cat))
 		}
 		for _, s := range reg.SeriesNames() {
 			acc := reg.Series(s)
-			name := promName(s)
-			bw.printf("# TYPE %s summary\n", name)
-			bw.printf("%s_count %d\n", name, acc.N())
-			bw.printf("%s_sum %s\n", name, promFloat(acc.Sum()))
-			bw.printf("%s{quantile=\"0\"} %s\n", name, promFloat(acc.Min()))
-			bw.printf("%s{quantile=\"1\"} %s\n", name, promFloat(acc.Max()))
+			name := ftdc.PromName(s)
+			fmt.Fprintf(bw, "# TYPE %s summary\n", name)
+			fmt.Fprintf(bw, "%s_count %d\n", name, acc.N())
+			fmt.Fprintf(bw, "%s_sum %s\n", name, promFloat(acc.Sum()))
+			fmt.Fprintf(bw, "%s{quantile=\"0\"} %s\n", name, promFloat(acc.Min()))
+			fmt.Fprintf(bw, "%s{quantile=\"1\"} %s\n", name, promFloat(acc.Max()))
 		}
 		for _, hn := range reg.HistNames() {
-			h := reg.Hist(hn)
-			name := promName(hn)
-			bw.printf("# TYPE %s histogram\n", name)
-			var cum uint64
-			for i := 0; i < h.Buckets(); i++ {
-				cum += h.Count(i)
-				bw.printf("%s_bucket{le=%q} %d\n", name, promFloat(float64(i+1)*h.Width()), cum)
-			}
-			cum += h.Overflow()
-			bw.printf("%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-			bw.printf("%s_sum %s\n", name, promFloat(h.Sum()))
-			bw.printf("%s_count %d\n", name, h.N())
+			writePromHistogram(bw, hn, reg.Hist(hn))
 		}
 	}
 	if c != nil {
-		for _, cn := range c.counterNames {
-			name := promName(cn) + "_total"
-			bw.printf("# TYPE %s counter\n", name)
-			bw.printf("%s %d\n", name, c.counters[cn].Value())
-		}
 		for _, hn := range c.histNames {
-			h := c.hists[hn]
-			name := promName(hn)
-			bw.printf("# TYPE %s histogram\n", name)
-			var cum uint64
-			for i := 0; i < h.Buckets(); i++ {
-				cum += h.Count(i)
-				bw.printf("%s_bucket{le=%q} %d\n", name, promFloat(h.UpperBound(i)), cum)
-			}
-			cum += h.Overflow()
-			bw.printf("%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-			bw.printf("%s_sum %s\n", name, promFloat(h.Sum()))
-			bw.printf("%s_count %d\n", name, h.N())
+			writePromHistogram(bw, hn, c.hists[hn])
 		}
-		for _, gn := range c.sampler.names {
-			if v, ok := c.sampler.Last(gn); ok {
-				name := promName(gn)
-				bw.printf("# TYPE %s gauge\n", name)
-				bw.printf("%s %s\n", name, promFloat(v))
-			}
+		rec, err := c.rec.Recording()
+		if err != nil {
+			return err
 		}
-		// Ring-eviction losses: nonzero means the retained time-series
-		// window is truncated (telemetryck warns on it).
-		bw.printf("# TYPE roborepair_telemetry_dropped_rows_total counter\n")
-		bw.printf("roborepair_telemetry_dropped_rows_total %d\n", c.sampler.Dropped())
-	}
-	return bw.err
-}
-
-// WriteTimeSeriesCSV renders the sampler's retained window as CSV: a
-// header line `t_s,<gauge>,...` then one row per sample. The prefix
-// columns (e.g. run-identifying fields in a sweep grid) are prepended
-// verbatim to the header and every row.
-func WriteTimeSeriesCSV(w io.Writer, sp *Sampler, prefixHeader string, prefixRow string) error {
-	if err := WriteTimeSeriesHeader(w, sp, prefixHeader); err != nil {
-		return err
-	}
-	return WriteTimeSeriesRows(w, sp, prefixRow)
-}
-
-// WriteTimeSeriesHeader renders just the CSV header line. Grid callers use
-// it once, then WriteTimeSeriesRows per run, to share one header across
-// many runs' series.
-func WriteTimeSeriesHeader(w io.Writer, sp *Sampler, prefixHeader string) error {
-	bw := &errWriter{w: w}
-	bw.printf("%st_s", prefixHeader)
-	for _, n := range sp.names {
-		bw.printf(",%s", n)
-	}
-	bw.printf("\n")
-	return bw.err
-}
-
-// WriteTimeSeriesRows renders the sample rows without a header.
-func WriteTimeSeriesRows(w io.Writer, sp *Sampler, prefixRow string) error {
-	bw := &errWriter{w: w}
-	sp.Each(func(t float64, vals []float64) {
-		bw.printf("%s%g", prefixRow, t)
-		for _, v := range vals {
-			bw.printf(",%g", v)
+		if err := ftdc.WritePrometheus(bw, rec); err != nil {
+			return err
 		}
-		bw.printf("\n")
-	})
-	return bw.err
-}
-
-// WriteCSV renders the collector's time series with no prefix columns.
-func (c *Collector) WriteCSV(w io.Writer) error {
-	return WriteTimeSeriesCSV(w, c.sampler, "", "")
-}
-
-// errWriter folds per-line write errors into one sticky error.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) printf(format string, args ...any) {
-	if e.err != nil {
-		return
 	}
-	_, e.err = fmt.Fprintf(e.w, format, args...)
+	return bw.Flush()
+}
+
+// writePromHistogram renders one histogram block with cumulative buckets.
+// Write errors stick in bw and surface at its Flush.
+func writePromHistogram(bw *bufio.Writer, hn string, h *metrics.Histogram) {
+	name := ftdc.PromName(hn)
+	fmt.Fprintf(bw, "# TYPE %s histogram\n", name)
+	var cum uint64
+	for i := 0; i < h.Buckets(); i++ {
+		cum += h.Count(i)
+		fmt.Fprintf(bw, "%s_bucket{le=%q} %d\n", name, promFloat(h.UpperBound(i)), cum)
+	}
+	cum += h.Overflow()
+	fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
+	fmt.Fprintf(bw, "%s_sum %s\n", name, promFloat(h.Sum()))
+	fmt.Fprintf(bw, "%s_count %d\n", name, h.N())
 }

@@ -3,14 +3,12 @@ package telemetry
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"regexp"
 	"strings"
 	"testing"
 
 	"roborepair/internal/metrics"
-	"roborepair/internal/sim"
 )
 
 // promLine matches one Prometheus exposition sample line.
@@ -34,19 +32,12 @@ func scrapeCheck(t *testing.T, text string) {
 
 func buildCollector(t *testing.T) *Collector {
 	t.Helper()
-	sched := sim.NewScheduler()
-	c := NewCollector(Config{Enabled: true, SamplePeriodS: 50, RingCapacity: 64})
-	h := c.LogHistogram("repair_delay_s", 8, 12)
+	c := recordedCollector(t, []string{"t_s", "queue_depth"},
+		[]float64{0, 2}, []float64{50, 4}, []float64{100, 6}, []float64{150, 8})
+	h := c.Histogram("repair_delay_s", 8, 12)
 	for _, v := range []float64{5, 30, 200, 9000} {
 		h.Add(v)
 	}
-	c.Counter("events").Add(7)
-	depth := 0.0
-	c.Gauge("queue_depth", func() float64 { depth += 2; return depth })
-	if err := c.Start(sched); err != nil {
-		t.Fatal(err)
-	}
-	sched.Run(160)
 	return c
 }
 
@@ -69,11 +60,14 @@ func TestWritePrometheus(t *testing.T) {
 		`roborepair_tx_total{category="beacon"} 123`,
 		"roborepair_report_hops_count 2",
 		"roborepair_report_hops_sum 6",
+		`roborepair_repair_delay_hist_bucket{le="30"} 0`,
+		`roborepair_repair_delay_hist_bucket{le="60"} 1`,
+		`roborepair_repair_delay_hist_bucket{le="240"} 1`,
 		`roborepair_repair_delay_hist_bucket{le="+Inf"} 1`,
-		"roborepair_events_total 7",
 		`roborepair_repair_delay_s_bucket{le="8"} 1`,
 		"roborepair_repair_delay_s_count 4",
-		"# TYPE roborepair_queue_depth gauge",
+		"# TYPE roborepair_queue_depth gauge\nroborepair_queue_depth 8\n",
+		"roborepair_t_s 150\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q\n%s", want, text)
@@ -95,33 +89,12 @@ func TestWritePrometheus(t *testing.T) {
 }
 
 func TestWriteTimeSeriesCSV(t *testing.T) {
-	c := buildCollector(t)
 	var b bytes.Buffer
-	if err := c.WriteCSV(&b); err != nil {
+	if err := buildCollector(t).WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
-	if lines[0] != "t_s,queue_depth" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if len(lines) != 1+c.Sampler().Len() {
-		t.Fatalf("rows = %d, want %d", len(lines)-1, c.Sampler().Len())
-	}
-	if lines[1] != "0,2" {
-		t.Fatalf("baseline row = %q", lines[1])
-	}
-
-	// Prefixed variant (the sweep grid format).
-	b.Reset()
-	if err := WriteTimeSeriesCSV(&b, c.Sampler(), "alg,seed,", "dynamic,3,"); err != nil {
-		t.Fatal(err)
-	}
-	lines = strings.Split(b.String(), "\n")
-	if lines[0] != "alg,seed,t_s,queue_depth" {
-		t.Fatalf("prefixed header = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "dynamic,3,0,") {
-		t.Fatalf("prefixed row = %q", lines[1])
+	if want := "t_s,queue_depth\n0,2\n50,4\n100,6\n150,8\n"; b.String() != want {
+		t.Fatalf("CSV = %q, want %q", b.String(), want)
 	}
 }
 
@@ -149,10 +122,11 @@ func TestExportersPropagateWriteErrors(t *testing.T) {
 	reg.CountTx(metrics.CatBeacon, 123)
 	c := buildCollector(t)
 	exporters := map[string]func(io.Writer) error{
-		"WritePrometheus":     func(w io.Writer) error { return WritePrometheus(w, reg, c) },
-		"WriteCSV":            c.WriteCSV,
-		"WriteTimeSeriesRows": func(w io.Writer) error { return WriteTimeSeriesRows(w, c.Sampler(), "") },
-		"WriteTimeSeriesHdr":  func(w io.Writer) error { return WriteTimeSeriesHeader(w, c.Sampler(), "") },
+		"WritePrometheus": func(w io.Writer) error { return WritePrometheus(w, reg, c) },
+		"WriteCSV":        c.WriteCSV,
+		"WriteChromeTrace": func(w io.Writer) error {
+			return WriteChromeTrace(w, goldenLog(), ChromeOptions{ManagerID: 5, Collector: c})
+		},
 	}
 	for name, render := range exporters {
 		var full bytes.Buffer
@@ -173,11 +147,10 @@ func TestExportersPropagateWriteErrors(t *testing.T) {
 	}
 }
 
-// TestWriteTimeSeriesCSVZeroSamples: a collector that never sampled still
-// emits a well-formed header-only CSV.
+// TestWriteTimeSeriesCSVZeroSamples: a recording with no samples yet
+// still renders a well-formed header-only CSV.
 func TestWriteTimeSeriesCSVZeroSamples(t *testing.T) {
-	c := NewCollector(Config{Enabled: true})
-	c.Gauge("queue_depth", func() float64 { return 1 })
+	c := recordedCollector(t, []string{"t_s", "queue_depth"})
 	var b bytes.Buffer
 	if err := c.WriteCSV(&b); err != nil {
 		t.Fatal(err)
@@ -189,13 +162,7 @@ func TestWriteTimeSeriesCSVZeroSamples(t *testing.T) {
 
 // TestWriteTimeSeriesCSVSingleSample: only the t=0 baseline sample.
 func TestWriteTimeSeriesCSVSingleSample(t *testing.T) {
-	sched := sim.NewScheduler()
-	c := NewCollector(Config{Enabled: true, SamplePeriodS: 50})
-	c.Gauge("queue_depth", func() float64 { return 3 })
-	if err := c.Start(sched); err != nil {
-		t.Fatal(err)
-	}
-	sched.Run(10) // before the first post-baseline tick
+	c := recordedCollector(t, []string{"t_s", "queue_depth"}, []float64{0, 3})
 	var b bytes.Buffer
 	if err := c.WriteCSV(&b); err != nil {
 		t.Fatal(err)
@@ -205,23 +172,12 @@ func TestWriteTimeSeriesCSVSingleSample(t *testing.T) {
 	}
 }
 
-// TestPrometheusDroppedRowsCounter: the exposition reports ring-eviction
-// losses so scrapers (and telemetryck) can detect truncated series.
-func TestPrometheusDroppedRowsCounter(t *testing.T) {
-	sched := sim.NewScheduler()
-	c := NewCollector(Config{Enabled: true, SamplePeriodS: 50, RingCapacity: 4})
-	c.Gauge("queue_depth", func() float64 { return 1 })
-	if err := c.Start(sched); err != nil {
-		t.Fatal(err)
-	}
-	sched.Run(1000) // 21 samples into a 4-slot ring
-	var b bytes.Buffer
-	if err := WritePrometheus(&b, nil, c); err != nil {
-		t.Fatal(err)
-	}
-	scrapeCheck(t, b.String())
-	want := fmt.Sprintf("roborepair_telemetry_dropped_rows_total %d", c.Sampler().Dropped())
-	if c.Sampler().Dropped() == 0 || !strings.Contains(b.String(), want) {
-		t.Fatalf("exposition missing %q (dropped=%d):\n%s", want, c.Sampler().Dropped(), b.String())
+func TestCollectorSummary(t *testing.T) {
+	c := buildCollector(t)
+	s := c.Summary()
+	for _, want := range []string{"repair_delay_s", "n=4 mean=", "timeseries_samples", "n=4 (period 100s, 2 columns)"} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("summary missing %q:\n%s", want, s)
+		}
 	}
 }

@@ -5,52 +5,23 @@ import (
 	"testing"
 )
 
-// TestLogHistogramBucketBoundaries pins the bucket-edge rule: bucket 0
-// closes at first, every later bucket doubles, and a sample exactly on a
-// boundary lands in the bucket that boundary closes.
-func TestLogHistogramBucketBoundaries(t *testing.T) {
-	h := NewLogHistogram(10, 4) // edges: 10, 20, 40, 80
-	cases := []struct {
-		x    float64
-		want int // bucket index, or -1 for overflow
-	}{
-		{0, 0}, {5, 0}, {10, 0},
-		{10.0001, 1}, {20, 1},
-		{20.0001, 2}, {40, 2},
-		{40.0001, 3}, {80, 3},
-		{80.0001, -1}, {1e9, -1},
-		{-3, 0}, // negatives clamp to bucket 0
-	}
-	for _, c := range cases {
-		h := NewLogHistogram(10, 4)
-		h.Add(c.x)
-		if c.want < 0 {
-			if h.Overflow() != 1 {
-				t.Errorf("Add(%v): want overflow, got buckets %v", c.x, h.counts)
-			}
-			continue
-		}
-		if h.Count(c.want) != 1 {
-			t.Errorf("Add(%v): want bucket %d, got %v overflow=%d", c.x, c.want, h.counts, h.Overflow())
-		}
-	}
-	for i, want := range []float64{10, 20, 40, 80} {
-		if got := h.UpperBound(i); got != want {
-			t.Errorf("UpperBound(%d) = %v, want %v", i, got, want)
-		}
-	}
-}
-
+// TestLogHistogramStatsAndQuantiles checks the collector's doubling-bucket
+// histogram: exact count/max/mean, and quantiles reported as the upper
+// bound of the bucket the rank falls in.
 func TestLogHistogramStatsAndQuantiles(t *testing.T) {
-	h := NewLogHistogram(1, 10) // edges 1,2,4,...,512
+	c := recordedCollector(t, []string{"t_s"}, []float64{0})
+	h := c.Histogram("delay_s", 1, 10) // bounds 1,2,4,...,512
 	for i := 1; i <= 100; i++ {
 		h.Add(float64(i))
+	}
+	if c.Histogram("delay_s", 99, 1) != h || c.Hist("delay_s") != h {
+		t.Fatal("histogram not reused by name")
 	}
 	if h.N() != 100 {
 		t.Fatalf("N = %d", h.N())
 	}
-	if h.Min() != 1 || h.Max() != 100 {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
+	if h.Max() != 100 {
+		t.Fatalf("max = %v", h.Max())
 	}
 	if got, want := h.Mean(), 50.5; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("mean = %v, want %v", got, want)
@@ -69,7 +40,8 @@ func TestLogHistogramStatsAndQuantiles(t *testing.T) {
 }
 
 func TestLogHistogramOverflowQuantile(t *testing.T) {
-	h := NewLogHistogram(1, 2) // edges 1, 2
+	c := recordedCollector(t, []string{"t_s"}, []float64{0})
+	h := c.Histogram("delay_s", 1, 2) // bounds 1, 2
 	h.Add(0.5)
 	h.Add(1000)
 	if h.Overflow() != 1 {
@@ -81,10 +53,25 @@ func TestLogHistogramOverflowQuantile(t *testing.T) {
 	}
 }
 
-func TestLogHistogramNaNDropped(t *testing.T) {
-	h := NewLogHistogram(1, 4)
-	h.Add(math.NaN())
-	if h.N() != 0 {
-		t.Fatalf("NaN was ingested: n=%d", h.N())
+// TestSamplerUnknownGauge: a gauge the recorder does not sample has no
+// series in the collector's recording, and an unregistered histogram name
+// yields nil.
+func TestSamplerUnknownGauge(t *testing.T) {
+	c := recordedCollector(t, []string{"t_s", "queue_depth"}, []float64{0, 2}, []float64{100, 4})
+	rec, err := c.rec.Recording()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := rec.Column("nope"); s != nil {
+		t.Fatalf("unknown series = %v", s)
+	}
+	if i := rec.ColumnIndex("nope"); i >= 0 {
+		t.Fatalf("unknown gauge has column %d", i)
+	}
+	if got := rec.Column("queue_depth"); len(got) != 2 || got[1] != 4 {
+		t.Fatalf("known series = %v", got)
+	}
+	if c.Hist("nope") != nil {
+		t.Fatal("unknown histogram reported")
 	}
 }

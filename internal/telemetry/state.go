@@ -2,59 +2,20 @@ package telemetry
 
 import "roborepair/internal/checkpoint"
 
-// AppendState serializes the collector's complete dynamic state in
-// canonical order (checkpoint section payload): histograms and counters in
-// registration order — registration order is itself deterministic per
-// config — then the sampler's ring positions and retained rows. Nil-safe:
-// a world with telemetry off appends a single absent marker, so the
-// section is still present and comparable.
+// AppendState serializes the collector's histograms in registration order
+// (checkpoint section payload); registration order is itself
+// deterministic per config. The time series rides the flight recorder's
+// own section. Nil-safe: a world with telemetry off appends a single
+// absent marker, so the section is still present and comparable.
 func (c *Collector) AppendState(b []byte) []byte {
 	if c == nil {
 		return checkpoint.AppendBool(b, false)
 	}
 	b = checkpoint.AppendBool(b, true)
-
 	b = checkpoint.AppendU32(b, uint32(len(c.histNames)))
 	for _, name := range c.histNames {
-		h := c.hists[name]
 		b = checkpoint.AppendString(b, name)
-		b = checkpoint.AppendF64(b, h.first)
-		b = checkpoint.AppendU32(b, uint32(len(h.counts)))
-		for _, n := range h.counts {
-			b = checkpoint.AppendU64(b, n)
-		}
-		b = checkpoint.AppendU64(b, h.overflow)
-		b = checkpoint.AppendU64(b, h.n)
-		b = checkpoint.AppendF64(b, h.sum)
-		b = checkpoint.AppendF64(b, h.min)
-		b = checkpoint.AppendF64(b, h.max)
-	}
-
-	b = checkpoint.AppendU32(b, uint32(len(c.counterNames)))
-	for _, name := range c.counterNames {
-		b = checkpoint.AppendString(b, name)
-		b = checkpoint.AppendU64(b, c.counters[name].n)
-	}
-
-	sp := c.sampler
-	b = checkpoint.AppendF64(b, float64(sp.period))
-	b = checkpoint.AppendI64(b, int64(sp.cap))
-	b = checkpoint.AppendI64(b, int64(sp.start))
-	b = checkpoint.AppendI64(b, int64(sp.n))
-	b = checkpoint.AppendI64(b, int64(sp.drops))
-	b = checkpoint.AppendU32(b, uint32(len(sp.names)))
-	for gi, name := range sp.names {
-		b = checkpoint.AppendString(b, name)
-		// Retained rows oldest-first, so the payload is a function of the
-		// sample history alone, not of the ring's physical layout.
-		for i := 0; i < sp.n; i++ {
-			row := (sp.start + i) % sp.cap
-			if gi == 0 {
-				// Timestamps once, alongside the first gauge.
-				b = checkpoint.AppendF64(b, sp.times[row])
-			}
-			b = checkpoint.AppendF64(b, sp.cols[gi][row])
-		}
+		b = c.hists[name].AppendState(b)
 	}
 	return b
 }

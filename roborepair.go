@@ -65,9 +65,9 @@ type (
 	// recharge detours with task handoff, and death-in-place at zero
 	// charge. Nil disables the layer with zero overhead.
 	BatteryConfig = scenario.BatteryConfig
-	// TelemetryConfig enables and tunes the observability layer —
-	// histograms, time-series sampling, exporters — via Config.Telemetry.
-	// The zero value disables it with zero overhead.
+	// TelemetryConfig enables the observability layer — histograms and
+	// exporters over the flight recording, which it arms — via
+	// Config.Telemetry. The zero value disables it with zero overhead.
 	TelemetryConfig = telemetry.Config
 	// TelemetryCollector carries one run's telemetry (Results.Telemetry).
 	TelemetryCollector = telemetry.Collector
@@ -230,8 +230,9 @@ func ParseAlgorithm(s string) (Algorithm, error) { return algorithm.Parse(s) }
 func Algorithms() []Algorithm { return algorithm.All() }
 
 // WritePrometheus renders a run's full accounting — the metrics registry
-// plus, when telemetry was enabled, the collector's counters, histograms,
-// and latest gauge readings — in the Prometheus text exposition format.
+// plus, when telemetry was enabled, the collector's histograms and the
+// recording's final sample as gauges — in the Prometheus text exposition
+// format.
 func WritePrometheus(w io.Writer, res Results) error {
 	return telemetry.WritePrometheus(w, res.Registry, res.Telemetry)
 }
@@ -240,7 +241,7 @@ func WritePrometheus(w io.Writer, res Results) error {
 // trace_event JSON (one lane per robot; open in chrome://tracing or
 // ui.perfetto.dev). The world must have been built with
 // Config.TraceCapacity != 0 and run to completion; enabling
-// Config.Telemetry additionally draws the sampled gauges as counter
+// Config.Telemetry additionally draws the recorded columns as counter
 // tracks.
 func WriteChromeTrace(w io.Writer, world *World) error {
 	opt := telemetry.ChromeOptions{Collector: world.Telemetry}
