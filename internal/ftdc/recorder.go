@@ -65,8 +65,10 @@ type encodedChunk struct {
 // Recorder accumulates fixed-interval samples and encodes them into the
 // recording format incrementally. Append is allocation-free in the steady
 // state: column buffers are preallocated to the chunk size and the
-// DEFLATE writer is built once, so the only per-chunk cost is the encoded
-// frame itself (a few hundred bytes every ChunkRows samples).
+// DEFLATE writer (~788 KiB) is built when the first chunk is sealed and
+// reused after, so the only per-chunk cost is the encoded frame itself (a
+// few hundred bytes every ChunkRows samples). A recording that never
+// seals a chunk never holds the writer.
 //
 // The recorder is not safe for concurrent use — like the rest of the
 // simulator it lives on one goroutine.
@@ -84,8 +86,8 @@ type Recorder struct {
 	evictedChunks int
 	evictedRows   int
 
-	enc *chunkEncoder
-	err error // first encode failure, sticky (see Err)
+	enc *chunkEncoder // nil until the first chunk is sealed
+	err error         // first encode failure, sticky (see Err)
 }
 
 // NewRecorder builds a recorder for the given schema. cfg's zero knobs
@@ -106,7 +108,6 @@ func NewRecorder(schema Schema, cfg Config) (*Recorder, error) {
 		chunkRows: cfg.ChunkRows,
 		keep:      cfg.KeepChunks,
 		cols:      make([][]float64, len(schema.Cols)),
-		enc:       newChunkEncoder(),
 	}
 	for i := range r.cols {
 		r.cols[i] = make([]float64, 0, r.chunkRows)
@@ -135,6 +136,9 @@ func (r *Recorder) Append(vals []float64) {
 func (r *Recorder) flush() {
 	if r.rows == 0 {
 		return
+	}
+	if r.enc == nil {
+		r.enc = newChunkEncoder()
 	}
 	frame, err := r.enc.appendChunk(nil, r.cols, r.rows)
 	if err != nil {
@@ -182,7 +186,9 @@ func (r *Recorder) Err() error { return r.err }
 
 // Bytes renders the recording: header, retained chunks, and the active
 // partial chunk as a final short chunk. The recorder is not perturbed —
-// pending samples stay pending and recording can continue.
+// pending samples stay pending and recording can continue. A recorder
+// that has sealed no chunk yet encodes the tail with a temporary writer
+// and does not keep it.
 func (r *Recorder) Bytes() ([]byte, error) {
 	if r.err != nil {
 		return nil, r.err
@@ -197,8 +203,12 @@ func (r *Recorder) Bytes() ([]byte, error) {
 		out = append(out, ch.frame...)
 	}
 	if r.rows > 0 {
+		enc := r.enc
+		if enc == nil {
+			enc = newChunkEncoder()
+		}
 		var err error
-		out, err = r.enc.appendChunk(out, r.cols, r.rows)
+		out, err = enc.appendChunk(out, r.cols, r.rows)
 		if err != nil {
 			return nil, err
 		}

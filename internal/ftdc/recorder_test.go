@@ -166,6 +166,42 @@ func TestRecorderSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestRecorderBuildsEncoderLazily checks that the DEFLATE writer is built
+// only when a chunk is sealed: a recorder whose samples all sit in the
+// unsealed tail renders them with a temporary writer and keeps none, and
+// its bytes equal those rendered by a writer that encoded a chunk before.
+func TestRecorderBuildsEncoderLazily(t *testing.T) {
+	r := newTestRecorder(t, Config{ChunkRows: 10})
+	appendN(r, 7, 0)
+	rec, err := r.Recording()
+	if err != nil {
+		t.Fatalf("Recording: %v", err)
+	}
+	if rec.NumRows() != 7 {
+		t.Fatalf("rows = %d, want 7", rec.NumRows())
+	}
+	if r.enc != nil {
+		t.Fatal("a recorder that sealed no chunk holds an encoder after Recording")
+	}
+	lazy, err := r.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := newTestRecorder(t, Config{ChunkRows: 10})
+	warm.enc = newChunkEncoder()
+	if _, err := warm.enc.appendChunk(nil, [][]float64{{1e9}, {-3}}, 1); err != nil {
+		t.Fatal(err)
+	}
+	appendN(warm, 7, 0)
+	if eager, err := warm.Bytes(); err != nil || !bytes.Equal(lazy, eager) {
+		t.Fatalf("temporary writer's bytes differ from a kept writer's (err %v)", err)
+	}
+	appendN(r, 3, 7)
+	if r.enc == nil {
+		t.Fatal("sealing a chunk left the recorder without an encoder")
+	}
+}
+
 func TestRecorderWriteFile(t *testing.T) {
 	r := newTestRecorder(t, Config{ChunkRows: 10})
 	appendN(r, 25, 0)

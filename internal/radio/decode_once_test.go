@@ -22,9 +22,9 @@ func (c *countingCodec) AppendEncode(dst []byte, f radio.Frame) ([]byte, error) 
 	return c.FrameCodec.AppendEncode(dst, f)
 }
 
-func (c *countingCodec) Decode(b []byte) (radio.Frame, error) {
+func (c *countingCodec) Decode(b []byte, sent radio.Frame) (radio.Frame, error) {
 	c.decodes++
-	return c.FrameCodec.Decode(b)
+	return c.FrameCodec.Decode(b, sent)
 }
 
 // delivery is one HandleFrame call, in medium order.
@@ -146,7 +146,7 @@ func TestChannelDecodesEachBufferOnce(t *testing.T) {
 			}
 			var want []radio.Frame
 			for _, c := range sc.calls {
-				g, err := wire.FrameCodec{}.Decode(c.out)
+				g, err := wire.FrameCodec{}.Decode(c.out, radio.Frame{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -95,14 +95,20 @@ type Auditor interface {
 // decoded once per distinct received buffer: clean receptions share one
 // decoded frame, while every buffer the Corrupter substitutes (a mutated
 // copy or a replay of another transmission) meets the same defensive
-// decoding a real radio would need. Decode must be a pure function of its
-// bytes and must not retain them. AppendEncode appends the encoding of f
+// decoding a real radio would need. AppendEncode appends the encoding of f
 // to dst and returns the extended slice; the medium owns that buffer and
 // reuses it for a later transmission once every reception of this one has
 // been decoded.
+//
+// Decode is given the transmission's frame as sent (the zero Frame means
+// none). Its result must depend only on b, and it must not retain b, but
+// where b decodes to values equal to sent's — floats bit for bit — it may
+// return sent's own payload values instead of fresh copies. Receivers
+// then share the sender's values, exactly as on the codec-free medium, so
+// they must not mutate a payload's slices (Packet.Path, FloodMsg.Relays).
 type Channel interface {
 	AppendEncode(dst []byte, f Frame) ([]byte, error)
-	Decode(b []byte) (Frame, error)
+	Decode(b []byte, sent Frame) (Frame, error)
 }
 
 // Corrupter mutates in-flight frame bytes. Corrupt is called once per
@@ -719,13 +725,14 @@ type encoded struct {
 // decode returns the decoding of b, reusing the transmission's shared
 // decode when b is the sender's own buffer (same backing array and
 // length). Any other buffer — a mutated copy, a truncation, a replay of
-// another transmission — is decoded on its own.
-func (tx *encoded) decode(c Channel, b []byte) (Frame, error) {
+// another transmission — is decoded on its own. Either way the decoder
+// gets sent, the frame the transmission carried, as its hint.
+func (tx *encoded) decode(c Channel, b []byte, sent Frame) (Frame, error) {
 	if len(b) != len(tx.b) || len(b) == 0 || &b[0] != &tx.b[0] {
-		return c.Decode(b)
+		return c.Decode(b, sent)
 	}
 	if !tx.decoded {
-		tx.f, tx.err = c.Decode(tx.b)
+		tx.f, tx.err = c.Decode(tx.b, sent)
 		tx.decoded = true
 	}
 	return tx.f, tx.err
@@ -819,7 +826,7 @@ func (m *Medium) handoff(f Frame, tx *encoded, from geom.Point, rng float64, dst
 	if corrupted || dup {
 		m.reg.CountTx(CatCorruptFrame, 1)
 	}
-	g, err := tx.decode(m.cfg.Channel, b)
+	g, err := tx.decode(m.cfg.Channel, b, f)
 	if err != nil {
 		// Checksum or structure failure: drop, count, never act on it.
 		m.reg.CountTx(CatMalformed, 1)

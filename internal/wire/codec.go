@@ -150,13 +150,19 @@ func idsSize(v []radio.NodeID) int {
 	return 1 + 2 + 8*len(v)
 }
 
-// dec is a consuming little-endian reader; short reads poison it.
+// dec is a consuming little-endian reader; short reads poison it. Each
+// field read takes the matching field of the value the sender encoded (the
+// zero value when there is none) and sets diff when the bytes say
+// otherwise — floats bit for bit, so −0 differs from +0 and NaN payloads
+// from each other — which is how a clean reception finds that it decoded
+// exactly what was sent.
 type dec struct {
-	b   []byte
-	bad bool
+	b    []byte
+	bad  bool
+	diff bool
 }
 
-func (d *dec) u64() uint64 {
+func (d *dec) next() uint64 {
 	if len(d.b) < 8 {
 		d.bad = true
 		return 0
@@ -166,13 +172,23 @@ func (d *dec) u64() uint64 {
 	return v
 }
 
-func (d *dec) id() radio.NodeID { return radio.NodeID(int64(d.u64())) }
-func (d *dec) i() int           { return int(int64(d.u64())) }
-func (d *dec) f() float64       { return math.Float64frombits(d.u64()) }
-func (d *dec) t() sim.Time      { return sim.Time(d.f()) }
-func (d *dec) pt() geom.Point   { return geom.Pt(d.f(), d.f()) }
+func (d *dec) u64(sent uint64) uint64 {
+	v := d.next()
+	if v != sent {
+		d.diff = true
+	}
+	return v
+}
 
-func (d *dec) bool() bool {
+func (d *dec) id(sent radio.NodeID) radio.NodeID {
+	return radio.NodeID(int64(d.u64(uint64(int64(sent)))))
+}
+func (d *dec) i(sent int) int                { return int(int64(d.u64(uint64(int64(sent))))) }
+func (d *dec) f(sent float64) float64        { return math.Float64frombits(d.u64(math.Float64bits(sent))) }
+func (d *dec) t(sent sim.Time) sim.Time      { return sim.Time(d.f(float64(sent))) }
+func (d *dec) pt(sent geom.Point) geom.Point { return geom.Pt(d.f(sent.X), d.f(sent.Y)) }
+
+func (d *dec) bool(sent bool) bool {
 	if len(d.b) < 1 {
 		d.bad = true
 		return false
@@ -183,6 +199,9 @@ func (d *dec) bool() bool {
 		// Reject non-canonical booleans so Encode(Decode(b)) == b holds
 		// for every accepted buffer.
 		d.bad = true
+	}
+	if (v == 1) != sent {
+		d.diff = true
 	}
 	return v == 1
 }
@@ -197,7 +216,9 @@ func (d *dec) u16() int {
 	return int(v)
 }
 
-func (d *dec) str() string {
+// str returns sent when the bytes spell it, then a known traffic category
+// constant, and only then a fresh copy.
+func (d *dec) str(sent string) string {
 	n := d.u16()
 	if d.bad || len(d.b) < n {
 		d.bad = true
@@ -205,6 +226,10 @@ func (d *dec) str() string {
 	}
 	raw := d.b[:n]
 	d.b = d.b[n:]
+	if string(raw) == sent {
+		return sent
+	}
+	d.diff = true
 	for _, s := range knownStrings {
 		if string(raw) == s {
 			return s
@@ -221,8 +246,10 @@ var knownStrings = [...]string{
 	metrics.CatReportRetx, metrics.CatAck, metrics.CatTakeover, metrics.CatRelocate,
 }
 
-func (d *dec) ids() []radio.NodeID {
-	if !d.bool() {
+// ids returns sent itself when the bytes encode the same list — present
+// or absent alike, element for element — and a fresh slice otherwise.
+func (d *dec) ids(sent []radio.NodeID) []radio.NodeID {
+	if !d.bool(sent != nil) {
 		return nil
 	}
 	n := d.u16()
@@ -230,28 +257,44 @@ func (d *dec) ids() []radio.NodeID {
 		d.bad = true
 		return nil
 	}
+	same := sent != nil && n == len(sent)
+	for i := 0; same && i < n; i++ {
+		same = radio.NodeID(int64(binary.LittleEndian.Uint64(d.b[8*i:]))) == sent[i]
+	}
+	if same {
+		d.b = d.b[8*n:]
+		return sent
+	}
+	d.diff = true
 	out := make([]radio.NodeID, n)
 	for i := range out {
-		out[i] = d.id()
+		out[i] = radio.NodeID(int64(d.next()))
 	}
 	return out
 }
 
-func (d *dec) nested() any {
+// nested decodes a length-prefixed inner body against the sent one.
+func (d *dec) nested(sent any) any {
 	n := d.u16()
 	if d.bad || len(d.b) < n {
 		d.bad = true
 		return nil
 	}
 	if n == 0 {
+		if sent != nil {
+			d.diff = true
+		}
 		return nil
 	}
 	sub := d.b[:n]
 	d.b = d.b[n:]
-	msg, err := Decode(sub)
+	msg, reused, err := decodeBody(sub, sent)
 	if err != nil {
 		d.bad = true
 		return nil
+	}
+	if !reused {
+		d.diff = true
 	}
 	return msg
 }
@@ -398,64 +441,99 @@ func bodySize(msg any) int {
 // rejects empty input, unknown tags, truncated bodies, and trailing
 // bytes, so for every accepted buffer Encode(Decode(b)) reproduces b.
 func Decode(b []byte) (any, error) {
+	msg, _, err := decodeBody(b, nil)
+	return msg, err
+}
+
+// reuse returns sent in place of m when sent holds a T and every field d
+// read matched it, so a reception of the sender's own bytes hands over
+// the sender's boxed value; otherwise it boxes m. Interface values are
+// never compared with ==, which panics on the slice-carrying envelopes.
+func reuse[T any](d *dec, sent any, m T) (any, bool) {
+	if _, ok := sent.(T); ok && !d.diff {
+		return sent, true
+	}
+	return m, false
+}
+
+// decodeBody is the one body decoder: Decode, the frame codec and nested
+// envelopes all run it. sent is the value the sender encoded, or nil; when
+// the decoded value equals it field for field, the result is sent itself
+// and reused is true.
+func decodeBody(b []byte, sent any) (msg any, reused bool, err error) {
 	if len(b) == 0 {
-		return nil, fmt.Errorf("wire: empty buffer")
+		return nil, false, fmt.Errorf("wire: empty buffer")
 	}
 	d := dec{b: b[1:]}
-	var msg any
 	switch b[0] {
 	case tagBeacon:
-		msg = Beacon{From: d.id(), Loc: d.pt()}
+		s, _ := sent.(Beacon)
+		msg, reused = reuse(&d, sent, Beacon{From: d.id(s.From), Loc: d.pt(s.Loc)})
 	case tagLocationAnnounce:
-		msg = LocationAnnounce{From: d.id(), Loc: d.pt(), Replacement: d.bool()}
+		s, _ := sent.(LocationAnnounce)
+		msg, reused = reuse(&d, sent, LocationAnnounce{
+			From: d.id(s.From), Loc: d.pt(s.Loc), Replacement: d.bool(s.Replacement),
+		})
 	case tagGuardianConfirm:
-		msg = GuardianConfirm{From: d.id(), Loc: d.pt()}
+		s, _ := sent.(GuardianConfirm)
+		msg, reused = reuse(&d, sent, GuardianConfirm{From: d.id(s.From), Loc: d.pt(s.Loc)})
 	case tagFailureReport:
-		msg = FailureReport{
-			Failed: d.id(), Loc: d.pt(), Reporter: d.id(),
-			DetectedAt: d.t(), Seq: d.u64(), ReporterLoc: d.pt(),
-		}
+		s, _ := sent.(FailureReport)
+		msg, reused = reuse(&d, sent, FailureReport{
+			Failed: d.id(s.Failed), Loc: d.pt(s.Loc), Reporter: d.id(s.Reporter),
+			DetectedAt: d.t(s.DetectedAt), Seq: d.u64(s.Seq), ReporterLoc: d.pt(s.ReporterLoc),
+		})
 	case tagReportAck:
-		msg = ReportAck{Reporter: d.id(), Failed: d.id(), Seq: d.u64()}
+		s, _ := sent.(ReportAck)
+		msg, reused = reuse(&d, sent, ReportAck{Reporter: d.id(s.Reporter), Failed: d.id(s.Failed), Seq: d.u64(s.Seq)})
 	case tagHeartbeatAck:
-		msg = HeartbeatAck{Manager: d.id(), Seq: d.u64()}
+		s, _ := sent.(HeartbeatAck)
+		msg, reused = reuse(&d, sent, HeartbeatAck{Manager: d.id(s.Manager), Seq: d.u64(s.Seq)})
 	case tagDispatchAck:
-		msg = DispatchAck{Robot: d.id(), Failed: d.id()}
+		s, _ := sent.(DispatchAck)
+		msg, reused = reuse(&d, sent, DispatchAck{Robot: d.id(s.Robot), Failed: d.id(s.Failed)})
 	case tagRepairDone:
-		msg = RepairDone{Robot: d.id(), Failed: d.id()}
+		s, _ := sent.(RepairDone)
+		msg, reused = reuse(&d, sent, RepairDone{Robot: d.id(s.Robot), Failed: d.id(s.Failed)})
 	case tagManagerTakeover:
-		msg = ManagerTakeover{Manager: d.id(), Loc: d.pt()}
+		s, _ := sent.(ManagerTakeover)
+		msg, reused = reuse(&d, sent, ManagerTakeover{Manager: d.id(s.Manager), Loc: d.pt(s.Loc)})
 	case tagRepairRequest:
-		msg = RepairRequest{
-			Failed: d.id(), Loc: d.pt(), IssuedAt: d.t(),
-			Manager: d.id(), ManagerLoc: d.pt(),
-		}
+		s, _ := sent.(RepairRequest)
+		msg, reused = reuse(&d, sent, RepairRequest{
+			Failed: d.id(s.Failed), Loc: d.pt(s.Loc), IssuedAt: d.t(s.IssuedAt),
+			Manager: d.id(s.Manager), ManagerLoc: d.pt(s.ManagerLoc),
+		})
 	case tagRobotUpdate:
-		msg = RobotUpdate{
-			Robot: d.id(), Loc: d.pt(), Seq: d.u64(),
-			Load: d.i(), Managing: d.bool(),
-		}
+		s, _ := sent.(RobotUpdate)
+		msg, reused = reuse(&d, sent, RobotUpdate{
+			Robot: d.id(s.Robot), Loc: d.pt(s.Loc), Seq: d.u64(s.Seq),
+			Load: d.i(s.Load), Managing: d.bool(s.Managing),
+		})
 	case tagRelocate:
-		msg = Relocate{Robot: d.id(), Dest: d.pt(), Seq: d.u64()}
+		s, _ := sent.(Relocate)
+		msg, reused = reuse(&d, sent, Relocate{Robot: d.id(s.Robot), Dest: d.pt(s.Dest), Seq: d.u64(s.Seq)})
 	case tagPacket:
-		msg = netstack.Packet{
-			Src: d.id(), Dst: d.id(), DstLoc: d.pt(), Category: d.str(),
-			Hops: d.i(), TTL: d.i(), Mode: netstack.RouteMode(d.i()),
-			EntryLoc: d.pt(), PrevLoc: d.pt(), Path: d.ids(), Payload: d.nested(),
-		}
+		s, _ := sent.(netstack.Packet)
+		msg, reused = reuse(&d, sent, netstack.Packet{
+			Src: d.id(s.Src), Dst: d.id(s.Dst), DstLoc: d.pt(s.DstLoc), Category: d.str(s.Category),
+			Hops: d.i(s.Hops), TTL: d.i(s.TTL), Mode: netstack.RouteMode(d.i(int(s.Mode))),
+			EntryLoc: d.pt(s.EntryLoc), PrevLoc: d.pt(s.PrevLoc), Path: d.ids(s.Path), Payload: d.nested(s.Payload),
+		})
 	case tagFloodMsg:
-		msg = netstack.FloodMsg{
-			Origin: d.id(), Seq: d.u64(), Category: d.str(),
-			Hops: d.i(), TTL: d.i(), Relays: d.ids(), Payload: d.nested(),
-		}
+		s, _ := sent.(netstack.FloodMsg)
+		msg, reused = reuse(&d, sent, netstack.FloodMsg{
+			Origin: d.id(s.Origin), Seq: d.u64(s.Seq), Category: d.str(s.Category),
+			Hops: d.i(s.Hops), TTL: d.i(s.TTL), Relays: d.ids(s.Relays), Payload: d.nested(s.Payload),
+		})
 	default:
-		return nil, fmt.Errorf("wire: unknown message tag %d", b[0])
+		return nil, false, fmt.Errorf("wire: unknown message tag %d", b[0])
 	}
 	if d.bad {
-		return nil, fmt.Errorf("wire: truncated or malformed %T", msg)
+		return nil, false, fmt.Errorf("wire: truncated or malformed %T", msg)
 	}
 	if len(d.b) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %T", len(d.b), msg)
+		return nil, false, fmt.Errorf("wire: %d trailing bytes after %T", len(d.b), msg)
 	}
-	return msg, nil
+	return msg, reused, nil
 }

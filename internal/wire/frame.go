@@ -68,8 +68,13 @@ func (c FrameCodec) Encode(f radio.Frame) ([]byte, error) { return c.AppendEncod
 
 // Decode parses a received buffer. It rejects short buffers, checksum
 // mismatches, malformed bodies, and trailing bytes; for every accepted
-// buffer Encode(Decode(b)) reproduces b exactly.
-func (FrameCodec) Decode(b []byte) (radio.Frame, error) {
+// buffer Encode(Decode(b)) reproduces b exactly. sent is the frame the
+// transmission carried (the zero Frame for none): a payload that decodes
+// field for field — floats bit for bit — to sent's is returned as sent's
+// own boxed value instead of a fresh one, nested bodies alike, so the
+// result shares sent's values and is otherwise identical to decoding
+// without the hint.
+func (FrameCodec) Decode(b []byte, sent radio.Frame) (radio.Frame, error) {
 	if len(b) < frameHeaderSize {
 		return radio.Frame{}, fmt.Errorf("wire: frame shorter than its checksum (%d bytes)", len(b))
 	}
@@ -77,7 +82,10 @@ func (FrameCodec) Decode(b []byte) (radio.Frame, error) {
 		return radio.Frame{}, errChecksum
 	}
 	d := dec{b: b[frameHeaderSize:]}
-	f := radio.Frame{Src: d.id(), Dst: d.id(), Category: d.str(), Payload: d.nested()}
+	f := radio.Frame{
+		Src: d.id(sent.Src), Dst: d.id(sent.Dst),
+		Category: d.str(sent.Category), Payload: d.nested(sent.Payload),
+	}
 	if d.bad {
 		return radio.Frame{}, errMalformedFrame
 	}

@@ -63,7 +63,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Encode(%+v): %v", f, err)
 		}
-		got, err := c.Decode(b)
+		got, err := c.Decode(b, radio.Frame{})
 		if err != nil {
 			t.Fatalf("Decode(Encode(%+v)): %v", f, err)
 		}
@@ -124,13 +124,13 @@ func TestFrameDetectsEverySmallMutation(t *testing.T) {
 	}
 	n := len(b) * 8
 	for i := 0; i < n; i++ {
-		if _, err := c.Decode(mutate(i)); err == nil {
+		if _, err := c.Decode(mutate(i), radio.Frame{}); err == nil {
 			t.Fatalf("single-bit flip at %d accepted", i)
 		}
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j += 7 {
-			if _, err := c.Decode(mutate(i, j)); err == nil {
+			if _, err := c.Decode(mutate(i, j), radio.Frame{}); err == nil {
 				t.Fatalf("double-bit flip at %d,%d accepted", i, j)
 			}
 		}
@@ -154,7 +154,7 @@ func TestFrameDecodeRejectsMalformed(t *testing.T) {
 		{"trailing garbage", append(append([]byte{}, b...), 0xAA)},
 	}
 	for _, tc := range cases {
-		if _, err := c.Decode(tc.b); err == nil {
+		if _, err := c.Decode(tc.b, radio.Frame{}); err == nil {
 			t.Errorf("%s: Decode accepted %x", tc.name, tc.b)
 		}
 	}
@@ -182,10 +182,10 @@ func TestFrameRejectionsAllocateNothing(t *testing.T) {
 		{"checksum mismatch", flipped, errChecksum},
 		{"malformed body", short, errMalformedFrame},
 	} {
-		if _, err := c.Decode(tc.b); err != tc.want {
+		if _, err := c.Decode(tc.b, radio.Frame{}); err != tc.want {
 			t.Fatalf("%s: Decode error %v, want %v", tc.name, err, tc.want)
 		}
-		if n := testing.AllocsPerRun(100, func() { c.Decode(tc.b) }); n != 0 {
+		if n := testing.AllocsPerRun(100, func() { c.Decode(tc.b, radio.Frame{}) }); n != 0 {
 			t.Errorf("%s: rejecting the frame made %v allocations, want 0", tc.name, n)
 		}
 	}
@@ -228,7 +228,7 @@ func TestFrameDecodeInternsCategories(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := testing.AllocsPerRun(10, func() { c.Decode(b) }); n != tc.allocs {
+		if n := testing.AllocsPerRun(10, func() { c.Decode(b, radio.Frame{}) }); n != tc.allocs {
 			t.Errorf("Decode of a %q frame: %v allocations, want %v", tc.category, n, tc.allocs)
 		}
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"roborepair/internal/geom"
@@ -58,7 +59,9 @@ func FuzzWireDecode(f *testing.F) {
 // reach Decode. Properties: Decode never panics, and any buffer it
 // accepts re-encodes to exactly the input bytes, so a mutated frame can
 // never silently pass as a different valid frame (canonical form plus the
-// CRC means an accepted buffer IS a valid encoding).
+// CRC means an accepted buffer IS a valid encoding). Decoding against any
+// seed frame as the sent one — as the medium does for every reception —
+// accepts exactly the same buffers and yields the same frame.
 func FuzzFrameCorrupt(f *testing.F) {
 	var c FrameCodec
 	seeds := []radio.Frame{
@@ -86,7 +89,21 @@ func FuzzFrameCorrupt(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		fr, err := c.Decode(b)
+		fr, err := c.Decode(b, radio.Frame{})
+		for _, hint := range seeds {
+			g, herr := c.Decode(b, hint)
+			if (herr == nil) != (err == nil) {
+				t.Fatalf("with hint %+v Decode returned error %v, without one %v", hint, herr, err)
+			}
+			if err == nil && !reflect.DeepEqual(g, fr) && !hasNaN(reflect.ValueOf(fr)) {
+				t.Fatalf("with hint %+v Decode returned\n %+v\nwithout one\n %+v", hint, g, fr)
+			}
+			if err == nil {
+				if re, rerr := c.Encode(g); rerr != nil || !bytes.Equal(re, b) {
+					t.Fatalf("hinted decode %+v does not re-encode to the input (%v)", g, rerr)
+				}
+			}
+		}
 		if err != nil {
 			return
 		}
