@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-json bench-smoke bench-telemetry telemetry-smoke invariant-smoke checkpoint-smoke conformance-smoke ftdc-smoke energy-smoke fuzz-smoke cover figures validate examples clean
+.PHONY: all build test vet race bench bench-json bench-smoke telemetry-smoke invariant-smoke checkpoint-smoke conformance-smoke ftdc-smoke energy-smoke fuzz-smoke cover figures validate examples clean
 
 all: build vet test
 
@@ -44,13 +44,14 @@ bench-json:
 # Fast allocation check on the hot-path benchmarks only (seconds, not
 # minutes): scheduler churn, medium broadcast, a codec broadcast, a
 # contended codec unicast plus broadcast, a sensor field's beacon period,
-# end-to-end throughput, the 10k-sensor world build, that field's live
+# end-to-end throughput (bare, with the flight recorder, with telemetry
+# and with the invariant checker), the 10k-sensor world build, that field's live
 # heap per sensor after boot, and the paper-density field's live heap per
 # sensor and allocations per sim-s. The ceilings are the perf ratchet — a
 # regression past a previously banked number fails the build.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSchedulerChurn|BenchmarkMediumBroadcast$$|BenchmarkMediumUnicast' -benchtime 1000x ./internal/sim ./internal/radio
-	{ $(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput$$|BenchmarkSimulatorThroughputFTDC|BenchmarkWorldBuild|BenchmarkFieldFootprint|BenchmarkPaperDensityField' -benchmem -benchtime 2x . ; \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput(FTDC|Telemetry|Invariants)?$$|BenchmarkWorldBuild|BenchmarkFieldFootprint|BenchmarkPaperDensityField' -benchmem -benchtime 2x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkSchedulerChurn' -benchmem -benchtime 100000x ./internal/sim ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkNeighborsDense|BenchmarkMediumBroadcast$$|BenchmarkContendedSend' -benchmem -benchtime 10000x ./internal/radio ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFrameBroadcast' -benchmem -benchtime 10000x ./internal/wire ; \
@@ -58,6 +59,8 @@ bench-smoke:
 	| $(GO) run ./cmd/benchjson -o /dev/null \
 		-ceiling 'BenchmarkSimulatorThroughput=allocs/op<=34210' \
 		-ceiling 'BenchmarkSimulatorThroughputFTDC=allocs/op<=34270' \
+		-ceiling 'BenchmarkSimulatorThroughputTelemetry=allocs/op<=34267' \
+		-ceiling 'BenchmarkSimulatorThroughputInvariants=allocs/op<=35064' \
 		-ceiling 'BenchmarkWorldBuild=allocs/op<=100200' \
 		-ceiling 'BenchmarkWorldBuild=B/op<=10491000' \
 		-ceiling 'BenchmarkFieldFootprint=live-B/sensor<=1291' \
@@ -69,11 +72,6 @@ bench-smoke:
 		-ceiling 'BenchmarkMediumBroadcast=allocs/op<=0' \
 		-ceiling 'BenchmarkFrameBroadcast=allocs/op<=0' \
 		-ceiling 'BenchmarkContendedSend=allocs/op<=0'
-
-# Telemetry overhead check: the same throughput workload with the layer
-# off and on; the enabled run must stay within 10% on sim-s/s.
-bench-telemetry:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput' -benchtime 1x .
 
 # End-to-end exporter check: run a small telemetered simulation, then
 # validate that the Chrome trace parses, the Prometheus text scrapes,

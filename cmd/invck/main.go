@@ -1,12 +1,13 @@
 // Command invck sweeps the conservation-law checker across the full
-// algorithm × fault-plan × seed grid and reports every violation, for CI
-// and pre-release smoke runs: all three coordination algorithms, each
-// under no chaos, a loss burst, a regional blackout, a manager crash, and
-// frame corruption at three rates, over several seeds.
+// algorithm × fault-plan × medium × seed grid and reports every
+// violation, for CI and pre-release smoke runs: every registered
+// algorithm, each under no chaos, a loss burst, a regional blackout, a
+// manager crash, and frame corruption at three rates, on the ideal medium
+// and under CSMA contention, over several seeds.
 //
 // Usage:
 //
-//	invck                        # default grid: every algorithm × 7 plans × 5 seeds
+//	invck                        # default grid: every algorithm × 7 plans × 2 media × 5 seeds
 //	invck -seeds 3 -simtime 4000 # smaller smoke grid
 //	invck -battery 60000         # energy layer live; adds drain plans to the grid
 //	invck -csv grid.csv          # also dump one CSV row per run
@@ -64,9 +65,10 @@ func plans(simtime, side float64) map[string]*chaos.FaultPlan {
 	return out
 }
 
-// tag identifies one grid cell for reporting.
+// tag identifies one grid cell for reporting: its fault plan and its
+// medium, "ideal" or "csma" (Config.MACContention).
 type tag struct {
-	plan string
+	plan, medium string
 }
 
 func run(args []string) error {
@@ -111,15 +113,19 @@ func run(args []string) error {
 		planNames = append(planNames, "drain-fleet", "drain-one")
 	}
 
+	media := []string{"ideal", "csma"}
 	var jobs []runner.Job
 	for _, alg := range algs {
 		for _, pn := range planNames {
-			for seed := int64(1); seed <= int64(*seeds); seed++ {
-				cfg := base
-				cfg.Algorithm = alg
-				cfg.Seed = seed
-				cfg.Faults = grid[pn]
-				jobs = append(jobs, runner.Job{Config: cfg, Tag: tag{plan: pn}})
+			for _, m := range media {
+				for seed := int64(1); seed <= int64(*seeds); seed++ {
+					cfg := base
+					cfg.Algorithm = alg
+					cfg.Seed = seed
+					cfg.Faults = grid[pn]
+					cfg.MACContention = m == "csma"
+					jobs = append(jobs, runner.Job{Config: cfg, Tag: tag{plan: pn, medium: m}})
+				}
 			}
 		}
 	}
@@ -138,8 +144,8 @@ func run(args []string) error {
 	for _, r := range results {
 		for _, v := range r.Res.Violations {
 			violations++
-			fmt.Fprintf(os.Stderr, "invck: %s/%s/seed=%d: %s\n",
-				r.Job.Config.Algorithm, r.Job.Tag.(tag).plan, r.Job.Config.Seed, v)
+			fmt.Fprintf(os.Stderr, "invck: %s/%s/%s/seed=%d: %s\n",
+				r.Job.Config.Algorithm, r.Job.Tag.(tag).plan, r.Job.Tag.(tag).medium, r.Job.Config.Seed, v)
 		}
 	}
 	if *csvPath != "" {
@@ -147,8 +153,8 @@ func run(args []string) error {
 			return err
 		}
 	}
-	fmt.Printf("invck: %d runs (%d algorithms × %d plans × %d seeds) in %.1fs: %d violations\n",
-		stats.Runs, len(algs), len(planNames), *seeds, stats.Wall.Seconds(), violations)
+	fmt.Printf("invck: %d runs (%d algorithms × %d plans × %d media × %d seeds) in %.1fs: %d violations\n",
+		stats.Runs, len(algs), len(planNames), len(media), *seeds, stats.Wall.Seconds(), violations)
 	if violations > 0 {
 		if *snapshotDir != "" {
 			if err := replayFirstViolation(results, *snapshotDir, *simtime); err != nil {
@@ -179,8 +185,8 @@ func replayFirstViolation(results []runner.Result, dir string, simtime float64) 
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
-		path := filepath.Join(dir, fmt.Sprintf("violation-%s-%s-seed%d.ckpt",
-			r.Job.Config.Algorithm, r.Job.Tag.(tag).plan, r.Job.Config.Seed))
+		path := filepath.Join(dir, fmt.Sprintf("violation-%s-%s-%s-seed%d.ckpt",
+			r.Job.Config.Algorithm, r.Job.Tag.(tag).plan, r.Job.Tag.(tag).medium, r.Job.Config.Seed))
 		if err := checkpoint.WriteFile(path, snap); err != nil {
 			return err
 		}
@@ -221,10 +227,10 @@ func writeCSV(path string, results []runner.Result) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(f, "algorithm,plan,seed,failures,repairs,violations,corrupted,malformed,replay_rejected")
+	fmt.Fprintln(f, "algorithm,plan,medium,seed,failures,repairs,violations,corrupted,malformed,replay_rejected")
 	for _, r := range results {
-		fmt.Fprintf(f, "%s,%s,%d,%d,%d,%d,%d,%d,%d\n",
-			r.Job.Config.Algorithm, r.Job.Tag.(tag).plan, r.Job.Config.Seed,
+		fmt.Fprintf(f, "%s,%s,%s,%d,%d,%d,%d,%d,%d,%d\n",
+			r.Job.Config.Algorithm, r.Job.Tag.(tag).plan, r.Job.Tag.(tag).medium, r.Job.Config.Seed,
 			r.Res.FailuresInjected, r.Res.Repairs, len(r.Res.Violations),
 			r.Res.CorruptedFrames, r.Res.DroppedMalformed, r.Res.ReplayRejected)
 	}

@@ -198,9 +198,6 @@ type ManagerHooks struct {
 	// OnRedispatch fires when the manager re-issues an outstanding repair
 	// request after a robot death or ack timeout (reliability extension).
 	OnRedispatch func(req wire.RepairRequest, to radio.NodeID, attempt int)
-	// OnDeposed fires when the manager stands down after hearing a robot's
-	// standing manager claim (the fleet declared it dead and moved on).
-	OnDeposed func()
 }
 
 // Manager is the static central manager station of §3.1. It is modeled as

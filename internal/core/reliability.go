@@ -105,9 +105,6 @@ func (m *Manager) depose() {
 	if m.ticker != nil {
 		m.ticker.Stop()
 	}
-	if m.hooks.OnDeposed != nil {
-		m.hooks.OnDeposed()
-	}
 }
 
 // noteRobot refreshes a robot's liveness timestamp.

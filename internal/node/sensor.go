@@ -67,9 +67,6 @@ type Config struct {
 type Hooks struct {
 	// OnReportSent fires when a guardian originates a failure report.
 	OnReportSent func(rep wire.FailureReport)
-	// OnReportDropped fires when a report packet is discarded in the
-	// network with this sensor as a relay.
-	OnReportDropped func(p netstack.Packet, reason netstack.DropReason)
 	// OnReportRetx fires when a guardian retransmits an unacknowledged
 	// report; attempt counts transmissions so far.
 	OnReportRetx func(rep wire.FailureReport, attempt int)
@@ -369,11 +366,8 @@ func (s *Sensor) RadioActive() bool { return s.alive }
 
 // DropPacket implements netstack.Host: a routed packet discarded with this
 // sensor as its relay.
-func (s *Sensor) DropPacket(p netstack.Packet, r netstack.DropReason) {
+func (s *Sensor) DropPacket(_ netstack.Packet, r netstack.DropReason) {
 	s.medium().Metrics().CountTx("drop_"+string(r), 1)
-	if s.hooks.OnReportDropped != nil {
-		s.hooks.OnReportDropped(p, r)
-	}
 }
 
 // Start attaches the sensor to the medium and boots it: it announces its
@@ -491,7 +485,9 @@ func (s *Sensor) tick() {
 	// non-robot neighbors about to be purged — each will be reported, not
 	// just forgotten, closing the guardian scheme's blind spot (a guardian
 	// dying inside its guardee's detection window strands the guardee).
-	var watch []netstack.Neighbor
+	// A tick rarely finds more than a few, so they collect on the stack.
+	var buf [8]netstack.Neighbor
+	watch := buf[:0]
 	if s.cfg.Reliability.NeighborWatch {
 		it := s.table.View().Iter()
 		for n, ok := it.Next(); ok; n, ok = it.Next() {

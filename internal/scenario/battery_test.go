@@ -214,8 +214,8 @@ func TestEnergyConservationMutationCaught(t *testing.T) {
 	w.failuresInjected = w.Injector.Killed()
 	w.Robots[0].SettleEnergy()
 	w.Robots[0].Battery().SpentJ -= 500 // the seeded bug: a leg's debit goes missing
-	w.finalizeInvariants()
 	res := w.results()
+	w.finalizeInvariants(&res)
 	found := false
 	for _, v := range res.Violations {
 		if v.Law == invariant.LawEnergyConservation {

@@ -11,7 +11,6 @@ import (
 	"roborepair/internal/geom"
 	"roborepair/internal/radio"
 	"roborepair/internal/sim"
-	"roborepair/internal/trace"
 )
 
 // Checkpoint surface.
@@ -255,8 +254,8 @@ func NearestSnapshot(cfg Config, at sim.Time, every sim.Duration) (*checkpoint.S
 
 // RestoreOptions tune Restore.
 type RestoreOptions struct {
-	// TailTraceCapacity, when nonzero, installs a fresh trace ring of that
-	// capacity on the restored world even when the config has tracing off:
+	// TailTraceCapacity, when nonzero, appends a fresh trace ring of that
+	// capacity to a restored world whose config has tracing off:
 	// the continuation from the snapshot time records events for replay
 	// debugging without the cost of tracing the whole prefix.
 	TailTraceCapacity int
@@ -299,7 +298,7 @@ func RestoreOpts(snap *checkpoint.Snapshot, opts RestoreOptions) (*World, error)
 		return nil, err
 	}
 	if opts.TailTraceCapacity != 0 && w.Trace == nil {
-		w.Trace = trace.New(opts.TailTraceCapacity)
+		w.startTrace(opts.TailTraceCapacity)
 	}
 	return w, nil
 }

@@ -78,8 +78,8 @@ func TestInvariantSkippedRepairCaught(t *testing.T) {
 		t.Fatal("run produced no repairs; pick a harsher config")
 	}
 	w.repairs-- // the seeded bug: one repair-completion event goes missing
-	w.finalizeInvariants()
 	res := w.results()
+	w.finalizeInvariants(&res)
 	found := false
 	for _, v := range res.Violations {
 		if v.Law == invariant.LawFailureConservation {
@@ -143,7 +143,7 @@ func TestInvariantsDoNotPerturbResults(t *testing.T) {
 }
 
 // TestInvariantsOffAllocations guards the disabled path with the same
-// ceiling as the telemetry layer: the nil-check hooks must not allocate.
+// ceiling as the telemetry layer: the disabled path must not allocate.
 func TestInvariantsOffAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-run allocation measurement")

@@ -3,11 +3,14 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"slices"
 	"testing"
 
+	"roborepair/internal/chaos"
 	"roborepair/internal/core"
 	"roborepair/internal/telemetry"
+	"roborepair/internal/trace"
 )
 
 func telTestConfig(seed int64) Config {
@@ -182,5 +185,51 @@ func TestTelemetryConfigValidation(t *testing.T) {
 	cfg.Recorder.SamplePeriodS = -5
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("negative sample period accepted")
+	}
+}
+
+// TestDuplicateVisitAccounting pins how duplicate visits are counted: a
+// mid-field blackout makes live sensors look dead, so robots drive to
+// sites a live sensor still covers. Every trip lands in the trip
+// histogram, only replacements in the repair-delay histogram and the
+// trace, and the invariant checker accepts the books.
+func TestDuplicateVisitAccounting(t *testing.T) {
+	for _, alg := range []core.Algorithm{core.Fixed, core.Dynamic, core.Centralized} {
+		t.Run(string(alg), func(t *testing.T) {
+			cfg := quickConfig(alg, 4)
+			cfg.Seed = 1
+			cfg.MeanLifetime = cfg.SimTime / 2
+			cfg.Reliability.Enabled = true
+			cfg.Telemetry.Enabled = true
+			cfg.Invariants.Enabled = true
+			cfg.TraceCapacity = -1
+			side := cfg.FieldSide()
+			plan, err := chaos.Parse(fmt.Sprintf("blackout@2000-4000=%g,%g,%g", side/2, side/2, side/4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Faults = plan
+			w, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := w.Run()
+			t.Logf("repairs %d, duplicates %d", res.Repairs, res.DuplicateRepairs)
+			if res.Repairs == 0 || res.DuplicateRepairs == 0 {
+				t.Fatalf("repairs %d, duplicates %d: the blackout must cause both", res.Repairs, res.DuplicateRepairs)
+			}
+			if n := w.Telemetry.Hist(TelHistTripMeters).N(); n != res.Repairs+res.DuplicateRepairs {
+				t.Errorf("%s N = %d, want repairs + duplicates = %d", TelHistTripMeters, n, res.Repairs+res.DuplicateRepairs)
+			}
+			if n := w.Telemetry.Hist(TelHistRepairDelay).N(); n != res.Repairs {
+				t.Errorf("%s N = %d, want repairs = %d", TelHistRepairDelay, n, res.Repairs)
+			}
+			if n := w.Trace.Count(trace.KindReplacement); n != res.Repairs {
+				t.Errorf("traced replacements = %d, want repairs = %d", n, res.Repairs)
+			}
+			if len(res.Violations) != 0 {
+				t.Errorf("violations: %v", res.Violations)
+			}
+		})
 	}
 }

@@ -71,15 +71,11 @@ type World struct {
 	dupRepair      bool                          // spawnReplacement→OnTaskDone handshake for the current repair
 	dupRepairs     int
 
-	// Telemetry histogram feeds; nil when telemetry is disabled, so the
-	// hooks pay one nil check.
-	telRepairDelay *metrics.Histogram
-	telReportHops  *metrics.Histogram
-	telReportRetx  *metrics.Histogram
-	telTrip        *metrics.Histogram
+	// observers receive every lifecycle record the hooks emit (observe.go).
+	observers []observer
 
-	// inv is the conservation-law checker; nil when Config.Invariants is
-	// disabled, so the hooks pay one nil check.
+	// inv is the conservation-law checker, kept for its end-of-run checks;
+	// nil when Config.Invariants is disabled.
 	inv *invariant.Checker
 
 	// streams holds every named RNG stream split off the config seed, in
@@ -161,23 +157,11 @@ func New(cfg Config) (*World, error) {
 	}
 	w.Injector = failure.NewInjector(sched, cfg.lifetimeModel(split("lifetimes")))
 	if cfg.TraceCapacity != 0 {
-		w.Trace = trace.New(cfg.TraceCapacity)
+		w.startTrace(cfg.TraceCapacity)
 	}
-	// Always installed: the body nil-checks its consumers, and a restored
-	// world may gain a tail trace after the fact (RestoreOptions).
 	w.Injector.OnKill = func(n failure.Failable) {
-		s, ok := n.(*node.Sensor)
-		if !ok {
-			return
-		}
-		if w.inv != nil {
-			w.inv.FailureInjected(s.ID(), s.Pos())
-		}
-		if w.Trace != nil {
-			w.Trace.Record(trace.Event{
-				At: sched.Now(), Kind: trace.KindFailure,
-				Node: s.ID(), Loc: s.Pos(),
-			})
+		if s, ok := n.(*node.Sensor); ok {
+			w.mark(trace.KindFailure, s.ID(), 0, s.Pos())
 		}
 	}
 
@@ -204,7 +188,7 @@ func New(cfg Config) (*World, error) {
 	// Algorithm wiring via the strategy registry: the factory builds the
 	// sensor policy, the robot update mode, and (for centrally dispatched
 	// families) the manager station, against hooks that feed the world's
-	// counters and trace.
+	// counters and observers.
 	factory, err := algorithm.Lookup(string(cfg.Algorithm))
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
@@ -218,31 +202,12 @@ func New(cfg Config) (*World, error) {
 		ManagerID:  managerID,
 		RobotRange: cfg.RobotRange,
 		ManagerHooks: core.ManagerHooks{
-			OnReportReceived: func(rep wire.FailureReport, hops int) {
-				w.reportsDelivered++
-				reg.Observe(metrics.SeriesReportHops, float64(hops))
-				if w.telReportHops != nil {
-					w.telReportHops.Add(float64(hops))
-				}
-				w.trace(trace.Event{
-					At: sched.Now(), Kind: trace.KindReportDelivered,
-					Node: rep.Failed, Actor: managerID, Loc: rep.Loc,
-				})
-			},
+			OnReportReceived: func(rep wire.FailureReport, hops int) { w.reportDelivered(rep, hops, managerID) },
 			OnRequestIssued: func(req wire.RepairRequest, to radio.NodeID) {
 				w.requestsIssued++
-				w.trace(trace.Event{
-					At: sched.Now(), Kind: trace.KindDispatch,
-					Node: req.Failed, Actor: to, Loc: req.Loc,
-				})
+				w.mark(trace.KindDispatch, req.Failed, to, req.Loc)
 			},
-			OnRedispatch: func(req wire.RepairRequest, to radio.NodeID, _ int) {
-				w.redispatches++
-				w.trace(trace.Event{
-					At: sched.Now(), Kind: trace.KindRedispatch,
-					Node: req.Failed, Actor: to, Loc: req.Loc,
-				})
-			},
+			OnRedispatch: w.redispatch,
 		},
 		RelEnabled: rel.Enabled,
 		Facility: algorithm.FacilityParams{
@@ -312,71 +277,35 @@ func New(cfg Config) (*World, error) {
 	robotHooks := robot.Hooks{
 		SpawnReplacement: w.spawnReplacement,
 		OnTaskDone: func(r *robot.Robot, t robot.Task, dist float64, delay sim.Duration) {
-			if w.telTrip != nil {
-				// The trip was driven whether or not a node got replaced.
-				w.telTrip.Add(dist)
-			}
 			if w.dupRepair {
 				// The site was already repaired by another robot (duplicate
 				// reports can cross dispatcher boundaries under faults):
 				// the trip happened but no node was replaced.
 				w.dupRepair = false
+				w.emit(record{Event: w.event(kindDuplicateVisit, t.Failed, r.ID(), t.Loc), Dist: dist})
 				return
 			}
 			w.repairs++
-			if w.inv != nil {
-				w.inv.RepairCompleted(t.Failed, t.Loc)
-			}
 			// 30 s buckets cover 0..2 h of repair delay; the tail beyond
 			// that reports exactly via overflow.
 			reg.Histogram(HistRepairDelay, 30, 240).Add(float64(delay))
-			if w.telRepairDelay != nil {
-				w.telRepairDelay.Add(float64(delay))
-			}
 			if at, ok := w.requeuedAt[t.Failed]; ok {
 				delete(w.requeuedAt, t.Failed)
 				reg.Observe(metrics.SeriesFaultRecovery, float64(sched.Now().Sub(at)))
 			}
-			w.trace(trace.Event{
-				At: sched.Now(), Kind: trace.KindReplacement,
-				Node: t.Failed, Actor: r.ID(), Loc: t.Loc,
-			})
+			w.emit(record{Event: w.event(trace.KindReplacement, t.Failed, r.ID(), t.Loc), Dist: dist, Delay: delay})
 		},
-		OnReportReceived: func(rep wire.FailureReport, hops int) {
-			w.reportsDelivered++
-			reg.Observe(metrics.SeriesReportHops, float64(hops))
-			if w.telReportHops != nil {
-				w.telReportHops.Add(float64(hops))
-			}
-			w.trace(trace.Event{
-				At: sched.Now(), Kind: trace.KindReportDelivered,
-				Node: rep.Failed, Loc: rep.Loc,
-			})
-		},
+		OnReportReceived: func(rep wire.FailureReport, hops int) { w.reportDelivered(rep, hops, 0) },
 		OnRequestReceived: func(req wire.RepairRequest, hops int) {
 			w.requestsDelivered++
 			reg.Observe(metrics.SeriesRequestHops, float64(hops))
 		},
-		OnPublish: func(r *robot.Robot, up wire.RobotUpdate) {
-			w.trace(trace.Event{
-				At: sched.Now(), Kind: trace.KindLocationUpdate,
-				Node: r.ID(), Actor: r.ID(), Loc: up.Loc,
-			})
-		},
+		OnPublish: func(r *robot.Robot, up wire.RobotUpdate) { w.mark(trace.KindLocationUpdate, r.ID(), r.ID(), up.Loc) },
 		OnFail: func(r *robot.Robot, stranded []robot.Task) {
-			if w.inv != nil {
-				w.inv.RobotDied(r.ID())
-			}
-			w.trace(trace.Event{
-				At: sched.Now(), Kind: trace.KindRobotFailure,
-				Node: r.ID(), Actor: r.ID(), Loc: r.Pos(),
-			})
+			w.mark(trace.KindRobotFailure, r.ID(), r.ID(), r.Pos())
 			w.strandedTasks += len(stranded)
 			for _, t := range stranded {
-				w.trace(trace.Event{
-					At: sched.Now(), Kind: trace.KindTaskStranded,
-					Node: t.Failed, Actor: r.ID(), Loc: t.Loc,
-				})
+				w.mark(trace.KindTaskStranded, t.Failed, r.ID(), t.Loc)
 			}
 			// Under the distributed algorithms the dead robot's neighbors
 			// absorb its pending work (a central manager re-dispatches
@@ -392,43 +321,23 @@ func New(cfg Config) (*World, error) {
 			c := *w.sensorCfg
 			c.Reliability.Manager = r.ID()
 			w.sensorCfg = &c
-			w.trace(trace.Event{
-				At: sched.Now(), Kind: trace.KindTakeover,
-				Node: r.ID(), Actor: r.ID(), Loc: r.Pos(),
-			})
+			w.mark(trace.KindTakeover, r.ID(), r.ID(), r.Pos())
 			if w.managerCrashAt >= 0 {
 				reg.Observe(metrics.SeriesFaultRecovery, float64(sched.Now().Sub(w.managerCrashAt)))
 			}
 		},
-		OnRedispatch: func(req wire.RepairRequest, to radio.NodeID, _ int) {
-			w.redispatches++
-			w.trace(trace.Event{
-				At: sched.Now(), Kind: trace.KindRedispatch,
-				Node: req.Failed, Actor: to, Loc: req.Loc,
-			})
+		OnRedispatch: w.redispatch,
+		OnMove: func(r *robot.Robot, from geom.Point, fromAt sim.Time, to geom.Point) {
+			w.emit(record{Event: w.event(kindMove, r.ID(), r.ID(), to), From: from, FromAt: fromAt})
 		},
-	}
-	if w.inv != nil {
-		robotHooks.OnMove = func(r *robot.Robot, from geom.Point, fromAt sim.Time, to geom.Point) {
-			w.inv.RobotMoved(r.ID(), from, fromAt, to)
-		}
-	}
-	if cfg.Battery != nil {
-		robotHooks.OnBatteryDeath = func(r *robot.Robot) {
+		// The battery hooks fire only when the energy layer is on.
+		OnBatteryDeath: func(r *robot.Robot) {
 			// OnFail has already stranded (and, for distributed algorithms,
 			// re-queued) the robot's tasks; this marker records the cause.
-			w.trace(trace.Event{
-				At: sched.Now(), Kind: trace.KindBatteryDeath,
-				Node: r.ID(), Actor: r.ID(), Loc: r.Pos(),
-			})
-		}
-		robotHooks.OnRecharge = func(r *robot.Robot) {
-			w.trace(trace.Event{
-				At: sched.Now(), Kind: trace.KindRecharge,
-				Node: r.ID(), Actor: r.ID(), Loc: r.Pos(),
-			})
-		}
-		robotHooks.OnHandoff = func(donor *robot.Robot, handed []robot.Task) {
+			w.mark(trace.KindBatteryDeath, r.ID(), r.ID(), r.Pos())
+		},
+		OnRecharge: func(r *robot.Robot) { w.mark(trace.KindRecharge, r.ID(), r.ID(), r.Pos()) },
+		OnHandoff: func(donor *robot.Robot, handed []robot.Task) {
 			now := sched.Now()
 			for _, t := range handed {
 				best := w.nearestAlive(t.Loc, donor.ID())
@@ -437,16 +346,13 @@ func New(cfg Config) (*World, error) {
 					// which queues it for after its recharge.
 					best = donor
 				}
-				w.trace(trace.Event{
-					At: now, Kind: trace.KindTaskHandoff,
-					Node: t.Failed, Actor: donor.ID(), Loc: t.Loc,
-				})
+				w.mark(trace.KindTaskHandoff, t.Failed, donor.ID(), t.Loc)
 				if w.requeuedAt != nil {
 					w.requeuedAt[t.Failed] = now
 				}
 				best.Enqueue(robot.Task{Failed: t.Failed, Loc: t.Loc, EnqueuedAt: now})
 			}
-		}
+		},
 	}
 	rcfg := robot.Config{
 		Speed:           cfg.RobotSpeed,
@@ -557,22 +463,23 @@ func (w *World) scheduleFaults() {
 	if plan.ManagerCrashAt > 0 && w.Manager != nil {
 		sched.After(sim.Time(plan.ManagerCrashAt).Sub(sched.Now()), func() {
 			w.managerCrashAt = sched.Now()
-			w.trace(trace.Event{
-				At: sched.Now(), Kind: trace.KindManagerCrash,
-				Node: w.Manager.ID(), Loc: w.Manager.Pos(),
-			})
+			w.mark(trace.KindManagerCrash, w.Manager.ID(), 0, w.Manager.Pos())
 			w.Manager.FailNow()
 		})
 	}
+	// Loss bursts and blackouts act through the medium alone; their
+	// window-open markers are scheduler events of their own, armed only for
+	// the trace ring (the one observer that stores them), so every other
+	// configuration keeps its event count.
 	if w.Trace != nil {
 		for _, b := range plan.LossBursts {
 			sched.After(sim.Time(b.From).Sub(sched.Now()), func() {
-				w.trace(trace.Event{At: sched.Now(), Kind: trace.KindFault})
+				w.mark(trace.KindFault, 0, 0, geom.Point{})
 			})
 		}
 		for _, b := range plan.Blackouts {
 			sched.After(sim.Time(b.From).Sub(sched.Now()), func() {
-				w.trace(trace.Event{At: sched.Now(), Kind: trace.KindFault, Loc: b.Center})
+				w.mark(trace.KindFault, 0, 0, b.Center)
 			})
 		}
 	}
@@ -593,7 +500,7 @@ func (w *World) scheduleFaults() {
 				}
 			}
 			sched.After(sim.Time(d.From).Sub(sched.Now()), func() {
-				w.trace(trace.Event{At: sched.Now(), Kind: trace.KindFault})
+				w.mark(trace.KindFault, 0, 0, geom.Point{})
 				apply(watts)
 			})
 			sched.After(sim.Time(d.To).Sub(sched.Now()), func() { apply(-watts) })
@@ -613,10 +520,7 @@ func (w *World) requeueStranded(stranded []robot.Task) {
 		}
 		w.requeuedTasks++
 		w.requeuedAt[t.Failed] = now
-		w.trace(trace.Event{
-			At: now, Kind: trace.KindTaskRequeued,
-			Node: t.Failed, Actor: best.ID(), Loc: t.Loc,
-		})
+		w.mark(trace.KindTaskRequeued, t.Failed, best.ID(), t.Loc)
 		best.Enqueue(robot.Task{Failed: t.Failed, Loc: t.Loc, EnqueuedAt: now})
 	}
 }
@@ -661,50 +565,40 @@ func (w *World) startCoverageSampling(bounds geom.Rect) {
 	}
 }
 
-// trace records an event when tracing is enabled.
-func (w *World) trace(e trace.Event) {
-	if w.Trace != nil {
-		w.Trace.Record(e)
-	}
+// reportDelivered accounts a failure report reaching its dispatcher: the
+// central manager (actor = its ID) or a robot (actor 0).
+func (w *World) reportDelivered(rep wire.FailureReport, hops int, actor radio.NodeID) {
+	w.reportsDelivered++
+	w.Registry.Observe(metrics.SeriesReportHops, float64(hops))
+	w.emit(record{Event: w.event(trace.KindReportDelivered, rep.Failed, actor, rep.Loc), Count: hops})
+}
+
+// redispatch accounts a dispatcher re-issuing an outstanding request, for
+// the central manager and a robot acting as manager alike.
+func (w *World) redispatch(req wire.RepairRequest, to radio.NodeID, _ int) {
+	w.redispatches++
+	w.mark(trace.KindRedispatch, req.Failed, to, req.Loc)
 }
 
 // newSensorHooks builds the one Hooks value every sensor of the field
 // shares.
 func (w *World) newSensorHooks() *node.Hooks {
-	hooks := &node.Hooks{
+	return &node.Hooks{
 		OnReportSent: func(rep wire.FailureReport) {
 			w.reportsSent++
-			if w.inv != nil && rep.Seq > 0 {
-				w.inv.ReportSent(rep.Reporter, rep.Seq)
-			}
-			w.trace(trace.Event{
-				At: w.Sched.Now(), Kind: trace.KindReportSent,
-				Node: rep.Failed, Actor: rep.Reporter, Loc: rep.Loc,
-			})
+			w.emit(record{Event: w.event(trace.KindReportSent, rep.Failed, rep.Reporter, rep.Loc), Seq: rep.Seq})
 		},
 		OnReportRetx: func(rep wire.FailureReport, attempt int) {
 			w.reportRetx++
-			if w.inv != nil && rep.Seq > 0 {
-				w.inv.ReportRetx(rep.Reporter, rep.Seq)
-			}
-			if w.telReportRetx != nil {
-				w.telReportRetx.Add(float64(attempt))
-			}
-			w.trace(trace.Event{
-				At: w.Sched.Now(), Kind: trace.KindReportRetx,
-				Node: rep.Failed, Actor: rep.Reporter, Loc: rep.Loc,
-			})
+			w.emit(record{Event: w.event(trace.KindReportRetx, rep.Failed, rep.Reporter, rep.Loc), Seq: rep.Seq, Count: attempt})
 		},
 		OnReportAbandoned: func(rep wire.FailureReport) {
 			w.reportsAban++
 		},
+		OnReportAcked: func(ack wire.ReportAck) {
+			w.emit(record{Event: w.event(kindReportAcked, 0, ack.Reporter, geom.Point{}), Seq: ack.Seq})
+		},
 	}
-	if w.inv != nil {
-		hooks.OnReportAcked = func(ack wire.ReportAck) {
-			w.inv.ReportAcked(ack.Reporter, ack.Seq)
-		}
-	}
-	return hooks
 }
 
 // spawnSensor creates, registers, arms, and boots one sensor. For
@@ -717,9 +611,7 @@ func (w *World) spawnSensor(pos geom.Point, jitter *rng.Source, replacement bool
 		s.SetTarget(target, targetLoc)
 	}
 	w.Sensors[id] = s
-	if w.inv != nil {
-		w.inv.SensorSpawned(id, pos)
-	}
+	w.mark(kindSpawn, id, 0, pos)
 	if w.siteIDs != nil {
 		w.siteIDs[pos] = append(w.siteIDs[pos], id)
 	}
@@ -745,9 +637,6 @@ func (w *World) spawnReplacement(r *robot.Robot, loc geom.Point) radio.NodeID {
 			// dead. The visit was a duplicate repair, not a replacement.
 			w.dupRepairs++
 			w.dupRepair = true
-			if w.inv != nil {
-				w.inv.DuplicateVisit(loc)
-			}
 			return id
 		}
 	}
@@ -773,8 +662,9 @@ func (w *World) Run() Results {
 	// the injector that dies within the horizon.
 	w.Sched.Run(sim.Time(w.Cfg.SimTime))
 	w.failuresInjected = w.Injector.Killed()
-	w.finalizeInvariants()
-	return w.results()
+	res := w.results()
+	w.finalizeInvariants(&res)
+	return res
 }
 
 func (w *World) results() Results {
@@ -854,9 +744,6 @@ func (w *World) results() Results {
 			}
 			res.RobotEnergy = append(res.RobotEnergy, rp)
 		}
-	}
-	if w.inv != nil {
-		res.Violations = w.inv.Violations()
 	}
 	res.Recording = w.Recorder
 	return res

@@ -405,3 +405,55 @@ func TestHighDensityRuns(t *testing.T) {
 		t.Fatalf("high density broke delivery: %.3f", res.ReportDeliveryRatio())
 	}
 }
+
+// TestObserverSlice pins how layers are wired: a default-config world has
+// no observers, and with every layer on the slice holds the invariant
+// checker, the trace ring and the telemetry histograms, in that order; a
+// restore with a tail trace appends one more ring.
+func TestObserverSlice(t *testing.T) {
+	w, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(w.observers) != 0 {
+		t.Fatalf("default config: %d observers, want none", len(w.observers))
+	}
+	cfg := DefaultConfig()
+	cfg.SimTime = 1000
+	cfg.Invariants.Enabled = true
+	cfg.TraceCapacity = 16
+	cfg.Telemetry.Enabled = true
+	w, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"scenario.invariantObserver", "scenario.traceObserver", "*scenario.telemetryObserver"}
+	got := make([]string, len(w.observers))
+	for i, o := range w.observers {
+		got[i] = fmt.Sprintf("%T", o)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("observers %v, want %v", got, want)
+	}
+
+	cfg.TraceCapacity = 0
+	w, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Sched.Run(500)
+	snap, err := w.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	re, err := RestoreOpts(snap, RestoreOptions{TailTraceCapacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(re.observers); n != 3 {
+		t.Fatalf("restored with a tail trace: %d observers, want 3", n)
+	}
+	if _, ok := re.observers[2].(traceObserver); !ok || re.Trace == nil {
+		t.Fatalf("tail trace not appended last: %T", re.observers[2])
+	}
+}

@@ -3,9 +3,9 @@
 // time-series, Chrome trace_event JSON) over them and over the run's
 // flight recording, which is the layer's only time-series store.
 //
-// The layer is opt-in and near-zero-overhead: the zero Config disables
-// everything, no Collector is built, and the instrumented hot paths reduce
-// to a nil check — runs with telemetry off reproduce the untelemetered
+// The layer is opt-in and absent when off: the zero Config builds no
+// Collector and puts no telemetry observer in the scenario's ordered
+// observer slice — runs with telemetry off reproduce the untelemetered
 // simulator's behavior and allocation counts bit-for-bit. The recording is
 // sampled on the virtual clock and reads only deterministic simulation
 // state, so telemetry output for a fixed (Config, Seed) is byte-identical
