@@ -78,16 +78,7 @@ bench-smoke:
 # and the time-series CSV is well-formed — and is exactly the run's
 # flight recording rendered as CSV (one time-series store).
 telemetry-smoke:
-	$(GO) run ./cmd/repairsim -alg centralized -simtime 4000 -telemetry \
-		-prom /tmp/roborepair-metrics.txt \
-		-timeseries /tmp/roborepair-timeseries.csv \
-		-chrome-trace /tmp/roborepair-trace.json \
-		-ftdc /tmp/roborepair-telemetry.ftdc > /dev/null
-	$(GO) run ./cmd/telemetryck \
-		-chrome /tmp/roborepair-trace.json \
-		-prom /tmp/roborepair-metrics.txt \
-		-csv /tmp/roborepair-timeseries.csv
-	$(GO) run ./cmd/ftdcdump -csv /tmp/roborepair-telemetry.ftdc | cmp - /tmp/roborepair-timeseries.csv
+	$(GO) test -run 'TestTelemetryArtifacts' -count=1 ./cmd/repairsim
 
 # Conservation-law sweep: every algorithm under every built-in chaos
 # plan, with the runtime invariant checker on; exits nonzero on any

@@ -20,8 +20,12 @@ func bankRecording(t *testing.T, name string, vs []float64) string {
 		Schema: ftdc.Schema{Cols: []string{"t_s", "v"}, PeriodS: 250, Seed: 7},
 		Chunks: []ftdc.Chunk{{Rows: len(vs), Cols: [][]float64{ts, vs}}},
 	}
+	b, err := ftdc.Encode(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), name)
-	if err := ftdc.WriteFile(path, rec); err != nil {
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path

@@ -101,10 +101,3 @@ func MG1Wait(lambda, meanService, serviceVar float64) float64 {
 	es2 := serviceVar + meanService*meanService
 	return lambda * es2 / (2 * (1 - rho))
 }
-
-// ExpectedRepairDelay estimates the mean failure→replacement delay of one
-// robot's M/G/1 repair queue: detection (half the guardian window on
-// average) + queue wait + own travel.
-func ExpectedRepairDelay(lambda, meanService, serviceVar, detection float64) float64 {
-	return detection + MG1Wait(lambda, meanService, serviceVar) + meanService
-}

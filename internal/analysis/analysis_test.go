@@ -135,11 +135,3 @@ func TestUtilizationAndMG1(t *testing.T) {
 		t.Fatal("overloaded queue should report Inf")
 	}
 }
-
-func TestExpectedRepairDelayComposition(t *testing.T) {
-	got := ExpectedRepairDelay(0.001, 100, 0, 20)
-	wait := MG1Wait(0.001, 100, 0)
-	if math.Abs(got-(20+wait+100)) > 1e-9 {
-		t.Fatalf("composition wrong: %v", got)
-	}
-}

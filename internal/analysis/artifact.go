@@ -1,7 +1,7 @@
 // Validators for exported simulation artifacts — Chrome trace_event
-// JSON, Prometheus text exposition, and time-series CSV — so smoke tools
-// (telemetryck, invck) and tests share one set of format checks instead
-// of each CLI growing its own.
+// JSON, Prometheus text exposition, and time-series CSV — so invck and
+// the tests (cmd/repairsim's artifact test among them) share one set of
+// format checks instead of each CLI growing its own.
 
 package analysis
 

@@ -15,11 +15,20 @@ func nb(id radio.NodeID, x, y float64) netstack.Neighbor {
 	return netstack.Neighbor{ID: id, Loc: geom.Pt(x, y)}
 }
 
+// viewOf returns a table-backed view of the neighbors, ascending by ID.
+func viewOf(list []netstack.Neighbor) netstack.NeighborView {
+	var tb netstack.NeighborTable
+	for _, n := range list {
+		tb.Upsert(n.ID, n.Loc, n.LastHeard)
+	}
+	return tb.View()
+}
+
 func TestSelectRelaysEmpty(t *testing.T) {
 	if got := SelectRelays(geom.Pt(0, 0), netstack.NeighborView{}, 6); got != nil {
 		t.Fatalf("empty neighbors → %v", got)
 	}
-	if got := SelectRelays(geom.Pt(0, 0), netstack.ViewOf([]netstack.Neighbor{nb(1, 1, 0)}), 0); got != nil {
+	if got := SelectRelays(geom.Pt(0, 0), viewOf([]netstack.Neighbor{nb(1, 1, 0)}), 0); got != nil {
 		t.Fatalf("zero sectors → %v", got)
 	}
 }
@@ -32,7 +41,7 @@ func TestSelectRelaysOnePerSector(t *testing.T) {
 		nb(2, 50, 5),
 		nb(3, -30, 1), // opposite sector
 	}
-	got := SelectRelays(self, netstack.ViewOf(neighbors), 6)
+	got := SelectRelays(self, viewOf(neighbors), 6)
 	if len(got) != 2 {
 		t.Fatalf("relays = %v, want 2 sectors covered", got)
 	}
@@ -48,7 +57,7 @@ func TestSelectRelaysCapBySectors(t *testing.T) {
 		ang := float64(i) / 100 * 2 * math.Pi
 		neighbors = append(neighbors, nb(radio.NodeID(i+1), 50*math.Cos(ang), 50*math.Sin(ang)))
 	}
-	got := SelectRelays(self, netstack.ViewOf(neighbors), 6)
+	got := SelectRelays(self, viewOf(neighbors), 6)
 	if len(got) != 6 {
 		t.Fatalf("relays = %d, want exactly 6 with all sectors populated", len(got))
 	}
@@ -56,7 +65,7 @@ func TestSelectRelaysCapBySectors(t *testing.T) {
 
 func TestSelectRelaysSkipsCoincident(t *testing.T) {
 	self := geom.Pt(5, 5)
-	got := SelectRelays(self, netstack.ViewOf([]netstack.Neighbor{nb(1, 5, 5)}), 6)
+	got := SelectRelays(self, viewOf([]netstack.Neighbor{nb(1, 5, 5)}), 6)
 	if got != nil {
 		t.Fatalf("coincident neighbor selected: %v", got)
 	}
@@ -67,7 +76,7 @@ func TestSelectRelaysSorted(t *testing.T) {
 	neighbors := []netstack.Neighbor{
 		nb(9, 10, 0), nb(3, 0, 10), nb(7, -10, 0), nb(1, 0, -10),
 	}
-	got := SelectRelays(self, netstack.ViewOf(neighbors), 4)
+	got := SelectRelays(self, viewOf(neighbors), 4)
 	for i := 1; i < len(got); i++ {
 		if got[i] < got[i-1] {
 			t.Fatalf("unsorted relays: %v", got)
@@ -102,7 +111,7 @@ func TestPropertyRelayBounds(t *testing.T) {
 			ids[id] = true
 			neighbors = append(neighbors, nb(id, r.Uniform(50, 150), r.Uniform(50, 150)))
 		}
-		got := SelectRelays(self, netstack.ViewOf(neighbors), sectors)
+		got := SelectRelays(self, viewOf(neighbors), sectors)
 		if len(got) > sectors {
 			return false
 		}
@@ -137,7 +146,7 @@ func TestPropertyFarthestAlwaysDesignated(t *testing.T) {
 		if best <= 0 {
 			return true
 		}
-		return Contains(SelectRelays(self, netstack.ViewOf(neighbors), 6), farthest)
+		return Contains(SelectRelays(self, viewOf(neighbors), 6), farthest)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ package chaos
 import (
 	"fmt"
 	"math"
-	"sort"
+
 	"strconv"
 	"strings"
 
@@ -412,38 +412,6 @@ func atof(s string) (float64, error) {
 		return 0, fmt.Errorf("number %q: %w", s, err)
 	}
 	return v, nil
-}
-
-// FirstFaultAt returns the time of the plan's earliest fault, or ok=false
-// for an empty plan.
-func (p *FaultPlan) FirstFaultAt() (float64, bool) {
-	var times []float64
-	if p == nil {
-		return 0, false
-	}
-	for _, rf := range p.RobotFailures {
-		times = append(times, rf.At)
-	}
-	for _, b := range p.LossBursts {
-		times = append(times, b.From)
-	}
-	for _, b := range p.Blackouts {
-		times = append(times, b.From)
-	}
-	for _, c := range p.Corruptions {
-		times = append(times, c.From)
-	}
-	for _, d := range p.Drains {
-		times = append(times, d.From)
-	}
-	if p.ManagerCrashAt > 0 {
-		times = append(times, p.ManagerCrashAt)
-	}
-	if len(times) == 0 {
-		return 0, false
-	}
-	sort.Float64s(times)
-	return times[0], true
 }
 
 // LossInjector layers the plan's loss bursts over a base loss model: inside

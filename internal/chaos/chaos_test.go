@@ -90,13 +90,6 @@ func TestEmptyAndFirstFault(t *testing.T) {
 	if p.Empty() {
 		t.Fatal("sample plan Empty")
 	}
-	at, ok := p.FirstFaultAt()
-	if !ok || at != 2000 {
-		t.Fatalf("FirstFaultAt = %v,%v want 2000,true", at, ok)
-	}
-	if _, ok := (&FaultPlan{}).FirstFaultAt(); ok {
-		t.Fatal("empty plan has a first fault")
-	}
 }
 
 // clock is a settable time source for model tests.

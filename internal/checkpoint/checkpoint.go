@@ -111,16 +111,6 @@ type Snapshot struct {
 	Sections []Section
 }
 
-// Section returns the payload of the section with the given ID.
-func (s *Snapshot) Section(id SectionID) ([]byte, bool) {
-	for i := range s.Sections {
-		if s.Sections[i].ID == id {
-			return s.Sections[i].Payload, true
-		}
-	}
-	return nil, false
-}
-
 // ConfigHash returns the SHA-256 of a canonical config JSON — the content
 // hash used by the snapshot header and the sweep resume journal.
 func ConfigHash(configJSON []byte) [sha256.Size]byte {

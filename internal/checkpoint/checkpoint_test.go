@@ -60,16 +60,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSectionLookup(t *testing.T) {
-	s := sampleSnapshot()
-	if p, ok := s.Section(SecRNG); !ok || string(p) != "rng-state" {
-		t.Fatalf("Section(SecRNG) = %q, %v", p, ok)
-	}
-	if _, ok := s.Section(SecChaos); ok {
-		t.Fatalf("Section(SecChaos) unexpectedly present")
-	}
-}
-
 // TestTruncationAtEveryBoundary: every strict prefix of a valid snapshot
 // must be cleanly rejected, never accepted and never a panic.
 func TestTruncationAtEveryBoundary(t *testing.T) {

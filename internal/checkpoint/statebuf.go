@@ -13,9 +13,6 @@ import (
 // sorted map iteration at the call sites, no varints, no padding — is the
 // whole point.
 
-// AppendU16 appends v as 2 little-endian bytes.
-func AppendU16(b []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(b, v) }
-
 // AppendU32 appends v as 4 little-endian bytes.
 func AppendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 

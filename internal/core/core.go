@@ -23,7 +23,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"roborepair/internal/geom"
@@ -54,20 +53,6 @@ const (
 
 // String names the algorithm as in the paper's figures.
 func (a Algorithm) String() string { return string(a) }
-
-// ParseAlgorithm converts a figure-style name of one of the paper's three
-// algorithms into an Algorithm. It predates the registry and is kept for
-// backward compatibility; registry-aware callers (the CLIs, the facade)
-// should use algorithm.Parse, which also accepts registered extensions
-// such as "facility".
-func ParseAlgorithm(s string) (Algorithm, error) {
-	switch Algorithm(s) {
-	case Centralized, Fixed, Dynamic:
-		return Algorithm(s), nil
-	default:
-		return "", fmt.Errorf("core: unknown algorithm %q", s)
-	}
-}
 
 // FloodTTL is the safety bound on location-update flood relaying; the
 // relay predicate, not the TTL, is the intended scope limit.
@@ -270,15 +255,6 @@ func (m *Manager) ID() radio.NodeID { return m.id }
 
 // Pos returns the manager's fixed location.
 func (m *Manager) Pos() geom.Point { return m.pos }
-
-// RobotLocations returns a copy of the manager's tracked robot positions.
-func (m *Manager) RobotLocations() map[radio.NodeID]geom.Point {
-	out := make(map[radio.NodeID]geom.Point, len(m.robots))
-	for k, v := range m.robots {
-		out[k] = v.loc
-	}
-	return out
-}
 
 // SetDispatchPolicy selects the dispatch rule (DispatchClosest default).
 func (m *Manager) SetDispatchPolicy(p DispatchPolicy) { m.policy = p }

@@ -27,13 +27,6 @@ func TestAlgorithmNames(t *testing.T) {
 		if tt.alg.String() != tt.name {
 			t.Errorf("String(%q) = %q", string(tt.alg), tt.alg.String())
 		}
-		got, err := ParseAlgorithm(tt.name)
-		if err != nil || got != tt.alg {
-			t.Errorf("ParseAlgorithm(%q) = %v, %v", tt.name, got, err)
-		}
-	}
-	if _, err := ParseAlgorithm("nonsense"); err == nil {
-		t.Error("ParseAlgorithm should reject unknown names")
 	}
 	if Algorithm("bogus").String() == "" {
 		t.Error("unknown algorithm should still format")
@@ -261,10 +254,10 @@ func TestCentralizedUpdatePublish(t *testing.T) {
 	g.sched.Run(2)
 	// The robot's announce reached the sensor (one-hop) and the manager
 	// (unicast): sensor knows the robot, manager tracks it.
-	if _, ok := s.KnowsRobot(50); !ok {
+	if id, _, ok := s.ClosestKnownRobot(); !ok || id != 50 {
 		t.Fatal("sensor missed the robot's one-hop announce")
 	}
-	if _, ok := mgr.RobotLocations()[50]; !ok {
+	if _, ok := mgr.robots[50]; !ok {
 		t.Fatal("manager did not track the robot registration")
 	}
 	// Sensor's target must be the manager (set by the manager's own init
@@ -349,8 +342,8 @@ func TestManagerTracksRobotUpdatePackets(t *testing.T) {
 	mgr.HandleFrame(radio.Frame{Payload: netstack.Packet{
 		Dst: 77, Payload: wire.RobotUpdate{Robot: 50, Loc: geom.Pt(30, 40), Seq: 7},
 	}})
-	if loc, ok := mgr.RobotLocations()[50]; !ok || !loc.Eq(geom.Pt(30, 40)) {
-		t.Fatalf("robot location not tracked: %v %v", loc, ok)
+	if info, ok := mgr.robots[50]; !ok || !info.loc.Eq(geom.Pt(30, 40)) {
+		t.Fatalf("robot location not tracked: %v %v", info, ok)
 	}
 }
 
@@ -373,14 +366,14 @@ func TestAlgorithmJSONRoundTrip(t *testing.T) {
 		}
 	}
 	// Unknown names unmarshal as plain strings — validation happens at
-	// scenario.New / ParseAlgorithm, not in the decoder — but they must
+	// scenario.New / algorithm.Parse, not in the decoder — but they must
 	// not silently resolve to a known algorithm.
 	var bad Algorithm
 	if err := json.Unmarshal([]byte(`"nope"`), &bad); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseAlgorithm(string(bad)); err == nil {
-		t.Fatal("unknown name parsed")
+	if bad == Centralized || bad == Fixed || bad == Dynamic {
+		t.Fatalf("unknown name decoded as %v", bad)
 	}
 	if err := json.Unmarshal([]byte(`42`), &bad); err == nil {
 		t.Fatal("non-string accepted")

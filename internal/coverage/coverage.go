@@ -90,65 +90,3 @@ func (e *Estimator) Fraction(sensors []geom.Point) float64 {
 	}
 	return float64(covered) / float64(e.Probes())
 }
-
-// HoleCount returns the number of connected uncovered probe regions
-// (4-connectivity) — a rough count of coverage holes.
-func (e *Estimator) HoleCount(sensors []geom.Point) int {
-	r2 := e.radius * e.radius
-	uncovered := make([]bool, e.cols*e.rows)
-	for i := 0; i < e.cols; i++ {
-		for j := 0; j < e.rows; j++ {
-			p := geom.Pt(
-				e.bounds.Min.X+(float64(i)+0.5)*e.dx,
-				e.bounds.Min.Y+(float64(j)+0.5)*e.dy,
-			)
-			hit := false
-			for _, s := range sensors {
-				if p.Dist2(s) <= r2 {
-					hit = true
-					break
-				}
-			}
-			uncovered[j*e.cols+i] = !hit
-		}
-	}
-	// Flood-fill count of uncovered components.
-	seen := make([]bool, len(uncovered))
-	var stack []int
-	holes := 0
-	for start, u := range uncovered {
-		if !u || seen[start] {
-			continue
-		}
-		holes++
-		stack = append(stack[:0], start)
-		seen[start] = true
-		for len(stack) > 0 {
-			idx := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			i, j := idx%e.cols, idx/e.cols
-			for _, n := range [][2]int{{i - 1, j}, {i + 1, j}, {i, j - 1}, {i, j + 1}} {
-				ni, nj := n[0], n[1]
-				if ni < 0 || ni >= e.cols || nj < 0 || nj >= e.rows {
-					continue
-				}
-				nidx := nj*e.cols + ni
-				if uncovered[nidx] && !seen[nidx] {
-					seen[nidx] = true
-					stack = append(stack, nidx)
-				}
-			}
-		}
-	}
-	return holes
-}
-
-// ExpectedFraction returns the Poisson-process prediction of covered
-// fraction for n sensors with the given sensing radius uniformly deployed
-// over area: 1 − exp(−n·π·r²/area). Used to sanity-check the estimator.
-func ExpectedFraction(n int, radius, area float64) float64 {
-	if area <= 0 {
-		return 0
-	}
-	return 1 - math.Exp(-float64(n)*math.Pi*radius*radius/area)
-}

@@ -47,7 +47,7 @@ func TestFractionMatchesPoissonModel(t *testing.T) {
 	}
 	e := NewEstimator(geom.Square(geom.Pt(0, 0), side), radius, 100, 100)
 	got := e.Fraction(sensors)
-	want := ExpectedFraction(n, radius, side*side)
+	want := expectedFraction(n, radius, side*side)
 	if math.Abs(got-want) > 0.06 {
 		t.Fatalf("coverage %v vs Poisson model %v", got, want)
 	}
@@ -60,49 +60,27 @@ func TestEstimatorClampsDimensions(t *testing.T) {
 	}
 }
 
-func TestHoleCountNoSensors(t *testing.T) {
-	e := NewEstimator(geom.Square(geom.Pt(0, 0), 100), 10, 10, 10)
-	if got := e.HoleCount(nil); got != 1 {
-		t.Fatalf("empty field should be one giant hole, got %d", got)
+// expectedFraction is the Poisson-process prediction of the covered
+// fraction for n sensors with the given sensing radius uniformly deployed
+// over area: 1 − exp(−n·π·r²/area). It is the oracle the estimator is
+// checked against.
+func expectedFraction(n int, radius, area float64) float64 {
+	if area <= 0 {
+		return 0
 	}
-}
-
-func TestHoleCountFullCoverage(t *testing.T) {
-	e := NewEstimator(geom.Square(geom.Pt(0, 0), 100), 200, 10, 10)
-	if got := e.HoleCount([]geom.Point{geom.Pt(50, 50)}); got != 0 {
-		t.Fatalf("covered field holes = %d", got)
-	}
-}
-
-func TestHoleCountTwoDistinctHoles(t *testing.T) {
-	// Cover everything except two far-apart corners.
-	var sensors []geom.Point
-	for x := 0.0; x <= 100; x += 8 {
-		for y := 0.0; y <= 100; y += 8 {
-			corner1 := x < 25 && y < 25
-			corner2 := x > 75 && y > 75
-			if !corner1 && !corner2 {
-				sensors = append(sensors, geom.Pt(x, y))
-			}
-		}
-	}
-	e := NewEstimator(geom.Square(geom.Pt(0, 0), 100), 9, 25, 25)
-	got := e.HoleCount(sensors)
-	if got != 2 {
-		t.Fatalf("holes = %d, want 2", got)
-	}
+	return 1 - math.Exp(-float64(n)*math.Pi*radius*radius/area)
 }
 
 func TestExpectedFractionProperties(t *testing.T) {
-	if ExpectedFraction(0, 20, 100) != 0 {
+	if expectedFraction(0, 20, 100) != 0 {
 		t.Fatal("no sensors should cover nothing")
 	}
-	if ExpectedFraction(100, 20, 0) != 0 {
+	if expectedFraction(100, 20, 0) != 0 {
 		t.Fatal("degenerate area should be 0")
 	}
 	// More sensors → more coverage, asymptotically 1.
-	a := ExpectedFraction(10, 20, 1e5)
-	b := ExpectedFraction(100, 20, 1e5)
+	a := expectedFraction(10, 20, 1e5)
+	b := expectedFraction(100, 20, 1e5)
 	if b <= a || b > 1 {
 		t.Fatalf("monotonicity broken: %v, %v", a, b)
 	}

@@ -20,12 +20,3 @@ func ExampleEstimator_Fraction() {
 	// one central sensor with r=60 covers most of the field: true
 	// empty field covers nothing: true
 }
-
-// The Poisson model predicts the covered fraction of a random deployment.
-func ExampleExpectedFraction() {
-	// 200 sensors with 20 m sensing radius over 400 m × 400 m.
-	f := coverage.ExpectedFraction(200, 20, 400*400)
-	fmt.Printf("%.2f\n", f)
-	// Output:
-	// 0.79
-}

@@ -39,8 +39,6 @@ import (
 	"io"
 	"math"
 	"os"
-
-	"roborepair/internal/checkpoint"
 )
 
 // Version is the current recording format version. Decode rejects other
@@ -715,16 +713,6 @@ func decodeFloatCol(d *dec, n int) ([]float64, error) {
 		apply(u)
 	}
 	return out, nil
-}
-
-// WriteFile atomically writes the recording to path (temp file, sync,
-// rename), so a crash mid-write never clobbers a previous capture.
-func WriteFile(path string, r *Recording) error {
-	b, err := Encode(r)
-	if err != nil {
-		return err
-	}
-	return checkpoint.WriteFileAtomic(path, b)
 }
 
 // ReadFile reads and decodes a recording file.

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"roborepair/internal/checkpoint"
 )
 
 // testRecording builds a recording exercising both column modes, zero
@@ -301,8 +303,12 @@ func TestWriteReadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ftdc")
 	want := testRecording()
-	if err := WriteFile(path, want); err != nil {
-		t.Fatalf("WriteFile: %v", err)
+	b, err := Encode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.WriteFileAtomic(path, b); err != nil {
+		t.Fatalf("WriteFileAtomic: %v", err)
 	}
 	got, err := ReadFile(path)
 	if err != nil {

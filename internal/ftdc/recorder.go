@@ -170,9 +170,6 @@ func (r *Recorder) Schema() Schema { return r.schema }
 // included.
 func (r *Recorder) Rows() int { return r.total }
 
-// RetainedChunks returns how many encoded chunks are currently held.
-func (r *Recorder) RetainedChunks() int { return len(r.chunks) }
-
 // EvictedChunks returns how many encoded chunks black-box retention has
 // dropped.
 func (r *Recorder) EvictedChunks() int { return r.evictedChunks }

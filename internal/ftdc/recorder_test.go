@@ -31,8 +31,8 @@ func TestRecorderRoundTrip(t *testing.T) {
 	if r.Rows() != 257 {
 		t.Fatalf("Rows = %d", r.Rows())
 	}
-	if r.RetainedChunks() != 2 {
-		t.Fatalf("RetainedChunks = %d, want 2 (57 pending)", r.RetainedChunks())
+	if len(r.chunks) != 2 {
+		t.Fatalf("RetainedChunks = %d, want 2 (57 pending)", len(r.chunks))
 	}
 	b, err := r.Bytes()
 	if err != nil {
@@ -95,8 +95,8 @@ func TestRecorderBytesIsNonMutating(t *testing.T) {
 func TestRecorderBlackBoxRetention(t *testing.T) {
 	r := newTestRecorder(t, Config{ChunkRows: 10, KeepChunks: 3})
 	appendN(r, 95, 0)
-	if r.RetainedChunks() != 3 {
-		t.Fatalf("RetainedChunks = %d, want 3", r.RetainedChunks())
+	if len(r.chunks) != 3 {
+		t.Fatalf("RetainedChunks = %d, want 3", len(r.chunks))
 	}
 	if r.EvictedChunks() != 6 || r.EvictedRows() != 60 {
 		t.Fatalf("evicted %d chunks / %d rows, want 6 / 60", r.EvictedChunks(), r.EvictedRows())

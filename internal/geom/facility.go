@@ -1,7 +1,5 @@
 package geom
 
-import "math"
-
 // Facility-location solvers for mule coordination (Hermelin et al.,
 // arXiv:1702.04142): place k facilities over a set of demand points so
 // idle robots can park where failures cluster. Two classic objectives
@@ -188,27 +186,4 @@ func geometricMedian(demands []Point, assign []int, c int, cur Point) Point {
 		m = next
 	}
 	return m
-}
-
-// FacilityCost returns the summed (k-median) and maximum (k-center)
-// distances from each demand to its nearest facility. Both are zero for
-// empty inputs.
-func FacilityCost(demands, facilities []Point) (sum, max float64) {
-	if len(facilities) == 0 {
-		return 0, 0
-	}
-	for _, d := range demands {
-		best := d.Dist2(facilities[0])
-		for _, f := range facilities[1:] {
-			if d2 := d.Dist2(f); d2 < best {
-				best = d2
-			}
-		}
-		dist := math.Sqrt(best)
-		sum += dist
-		if dist > max {
-			max = dist
-		}
-	}
-	return sum, max
 }

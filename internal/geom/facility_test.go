@@ -92,7 +92,7 @@ func TestKCenterGreedy(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("got %d centers, want 3", len(got))
 	}
-	if _, max := FacilityCost(pts, got); max != 0 {
+	if _, max := facilityCost(pts, got); max != 0 {
 		t.Fatalf("k=n cover has max distance %v, want 0", max)
 	}
 	// Greedy 2-approximation bound: cost(greedy k=2) ≤ 2·OPT. For this
@@ -102,7 +102,7 @@ func TestKCenterGreedy(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("got %d centers, want 2", len(got))
 	}
-	_, max := FacilityCost(pts, got)
+	_, max := facilityCost(pts, got)
 	if max <= 0 || max > 110 {
 		t.Fatalf("k-center radius %v out of range", max)
 	}
@@ -116,13 +116,30 @@ func TestKCenterFirstSeedIsFirstDemand(t *testing.T) {
 	}
 }
 
+// facilityCost is the k-center tests' oracle: the summed (k-median) and
+// maximum (k-center) distances from each demand to its nearest facility,
+// both zero for empty inputs.
+func facilityCost(demands, facilities []Point) (sum, max float64) {
+	if len(facilities) == 0 {
+		return 0, 0
+	}
+	for _, d := range demands {
+		dist := d.Dist(facilities[Nearest(d, facilities)])
+		sum += dist
+		if dist > max {
+			max = dist
+		}
+	}
+	return sum, max
+}
+
 func TestFacilityCost(t *testing.T) {
-	if sum, max := FacilityCost([]Point{Pt(1, 1)}, nil); sum != 0 || max != 0 {
+	if sum, max := facilityCost([]Point{Pt(1, 1)}, nil); sum != 0 || max != 0 {
 		t.Fatalf("no facilities: cost (%v,%v), want (0,0)", sum, max)
 	}
 	demands := []Point{Pt(0, 0), Pt(3, 4), Pt(10, 0)}
 	fac := []Point{Pt(0, 0), Pt(10, 0)}
-	sum, max := FacilityCost(demands, fac)
+	sum, max := facilityCost(demands, fac)
 	// (0,0)→0, (3,4)→5 (to origin), (10,0)→0.
 	if math.Abs(sum-5) > 1e-9 || math.Abs(max-5) > 1e-9 {
 		t.Fatalf("cost (%v,%v), want (5,5)", sum, max)

@@ -16,21 +16,6 @@ func TestLerpExtrapolates(t *testing.T) {
 	}
 }
 
-func TestRegularPolygonPhase(t *testing.T) {
-	// Phase rotates the first vertex.
-	p0 := RegularPolygon(Pt(0, 0), 1, 4, 0)
-	p90 := RegularPolygon(Pt(0, 0), 1, 4, math.Pi/2)
-	if !p0[0].Near(Pt(1, 0), 1e-9) {
-		t.Fatalf("phase 0 first vertex = %v", p0[0])
-	}
-	if !p90[0].Near(Pt(0, 1), 1e-9) {
-		t.Fatalf("phase π/2 first vertex = %v", p90[0])
-	}
-	if !almostEq(p0.Area(), p90.Area()) {
-		t.Fatal("rotation changed area")
-	}
-}
-
 func TestRectCornersCCW(t *testing.T) {
 	c := Square(Pt(0, 0), 2).Corners()
 	if !c[0].Eq(Pt(0, 0)) || !c[1].Eq(Pt(2, 0)) || !c[2].Eq(Pt(2, 2)) || !c[3].Eq(Pt(0, 2)) {
@@ -109,33 +94,6 @@ func newRandPoints(seed int64, n int, side float64) []Point {
 		out[i] = Pt(next()*side, next()*side)
 	}
 	return out
-}
-
-// Property: the convex hull area is at least the area of any triangle of
-// input points.
-func TestPropertyHullAreaDominatesTriangles(t *testing.T) {
-	prop := func(seed int64) bool {
-		pts := newRandPoints(seed, 10, 50)
-		hull := ConvexHull(pts)
-		if len(hull) < 3 {
-			return true
-		}
-		ha := hull.Area()
-		for i := 0; i < len(pts); i++ {
-			for j := i + 1; j < len(pts); j++ {
-				for k := j + 1; k < len(pts); k++ {
-					tri := Polygon{pts[i], pts[j], pts[k]}
-					if tri.Area() > ha+1e-9 {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // Property: clipping a polygon by complementary half-planes partitions its

@@ -69,9 +69,6 @@ type Partition struct {
 // subareas this is simply the nearest center.
 func (pt *Partition) OwnerOf(p Point) int { return Nearest(p, pt.Centers) }
 
-// K returns the number of subareas.
-func (pt *Partition) K() int { return len(pt.Centers) }
-
 // NewPartition divides bounds into k subareas of the given kind. For the
 // square kind k must be a perfect square matching a rows×cols grid of the
 // (square) field, mirroring the paper's use of k ∈ {4, 9, 16}; for

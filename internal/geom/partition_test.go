@@ -12,8 +12,8 @@ func TestSquarePartition4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pt.K() != 4 {
-		t.Fatalf("K = %d", pt.K())
+	if len(pt.Centers) != 4 {
+		t.Fatalf("K = %d", len(pt.Centers))
 	}
 	wantCenters := map[Point]bool{
 		Pt(100, 100): true, Pt(300, 100): true,
@@ -39,8 +39,8 @@ func TestSquarePartition9And16(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pt.K() != k {
-			t.Fatalf("k=%d: K = %d", k, pt.K())
+		if len(pt.Centers) != k {
+			t.Fatalf("k=%d: K = %d", k, len(pt.Centers))
 		}
 		var sum float64
 		for _, cell := range pt.Cells {
@@ -83,8 +83,8 @@ func TestHexPartitionCoversField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pt.K() != 16 {
-		t.Fatalf("K = %d", pt.K())
+	if len(pt.Centers) != 16 {
+		t.Fatalf("K = %d", len(pt.Centers))
 	}
 	var sum float64
 	for i, cell := range pt.Cells {
@@ -150,8 +150,8 @@ func TestGridShapeNonSquareCounts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		if pt.K() != k {
-			t.Fatalf("k=%d produced %d cells", k, pt.K())
+		if len(pt.Centers) != k {
+			t.Fatalf("k=%d produced %d cells", k, len(pt.Centers))
 		}
 	}
 }

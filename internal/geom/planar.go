@@ -3,9 +3,9 @@ package geom
 // Planar subgraph construction for face-routing recovery. Greedy
 // geographic forwarding can reach a local minimum (a "hole"); GFG/GPSR
 // recover by walking the faces of a planar subgraph of the connectivity
-// graph. The Gabriel graph and the relative neighborhood graph (RNG) are
-// the two classical localized planarizations; both are computed here from
-// a node's one-hop neighborhood only, exactly as a real node would.
+// graph. The Gabriel graph is the classical localized planarization; it is
+// computed here from a node's one-hop neighborhood only, exactly as a real
+// node would.
 
 // GabrielEdge reports whether the edge u–v belongs to the Gabriel graph of
 // the point set: no witness point lies strictly inside the circle whose
@@ -23,66 +23,4 @@ func GabrielEdge(u, v Point, witnesses []Point) bool {
 		}
 	}
 	return true
-}
-
-// RNGEdge reports whether the edge u–v belongs to the relative
-// neighborhood graph: no witness w has max(d(u,w), d(v,w)) < d(u,v).
-func RNGEdge(u, v Point, witnesses []Point) bool {
-	d2 := u.Dist2(v)
-	const eps = 1e-12
-	for _, w := range witnesses {
-		if w.Eq(u) || w.Eq(v) {
-			continue
-		}
-		uw, vw := u.Dist2(w), v.Dist2(w)
-		if uw < d2-eps && vw < d2-eps {
-			return false
-		}
-	}
-	return true
-}
-
-// SegmentsIntersect reports whether closed segments ab and cd share a
-// point, including collinear overlap and shared endpoints.
-func SegmentsIntersect(a, b, c, d Point) bool {
-	o1 := Orientation(a, b, c)
-	o2 := Orientation(a, b, d)
-	o3 := Orientation(c, d, a)
-	o4 := Orientation(c, d, b)
-	if o1 != o2 && o3 != o4 {
-		return true
-	}
-	onSeg := func(p, q, r Point) bool { // r on segment pq, assuming collinear
-		return min(p.X, q.X)-1e-12 <= r.X && r.X <= max(p.X, q.X)+1e-12 &&
-			min(p.Y, q.Y)-1e-12 <= r.Y && r.Y <= max(p.Y, q.Y)+1e-12
-	}
-	switch {
-	case o1 == 0 && onSeg(a, b, c):
-		return true
-	case o2 == 0 && onSeg(a, b, d):
-		return true
-	case o3 == 0 && onSeg(c, d, a):
-		return true
-	case o4 == 0 && onSeg(c, d, b):
-		return true
-	}
-	return false
-}
-
-// SegmentIntersection returns the intersection point of segments ab and cd
-// when they cross at a single point (proper intersection), and ok=false
-// otherwise.
-func SegmentIntersection(a, b, c, d Point) (Point, bool) {
-	r := b.Sub(a)
-	s := d.Sub(c)
-	denom := r.Cross(s)
-	if denom == 0 {
-		return Point{}, false
-	}
-	t := c.Sub(a).Cross(s) / denom
-	u := c.Sub(a).Cross(r) / denom
-	if t < 0 || t > 1 || u < 0 || u > 1 {
-		return Point{}, false
-	}
-	return a.Add(r.Scale(t)), true
 }

@@ -32,37 +32,6 @@ func TestGabrielEdgeIgnoresEndpoints(t *testing.T) {
 	}
 }
 
-func TestRNGEdgeBasic(t *testing.T) {
-	u, v := Pt(0, 0), Pt(10, 0)
-	if !RNGEdge(u, v, nil) {
-		t.Error("edge with no witnesses must be in RNG")
-	}
-	// Witness in the lune (close to both) kills the edge.
-	if RNGEdge(u, v, []Point{Pt(5, 1)}) {
-		t.Error("lune witness should kill the edge")
-	}
-	// Witness far from one endpoint (outside the lune) does not.
-	if !RNGEdge(u, v, []Point{Pt(-3, 0)}) {
-		t.Error("witness outside the lune should not kill the edge")
-	}
-}
-
-func TestRNGSubsetOfGabriel(t *testing.T) {
-	// RNG ⊆ Gabriel: any edge in RNG must be in Gabriel.
-	r := rand.New(rand.NewSource(4))
-	pts := make([]Point, 40)
-	for i := range pts {
-		pts[i] = Pt(r.Float64()*100, r.Float64()*100)
-	}
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			if RNGEdge(pts[i], pts[j], pts) && !GabrielEdge(pts[i], pts[j], pts) {
-				t.Fatalf("edge %d-%d in RNG but not Gabriel", i, j)
-			}
-		}
-	}
-}
-
 // Property: the Gabriel graph restricted to any point set is planar — no
 // two Gabriel edges properly cross. (Classical result; checked empirically
 // on random sets, which is how the routing layer relies on it.)
@@ -88,7 +57,7 @@ func TestPropertyGabrielPlanarity(t *testing.T) {
 				if e.a == f.a || e.a == f.b || e.b == f.a || e.b == f.b {
 					continue // sharing an endpoint is fine
 				}
-				if SegmentsIntersect(pts[e.a], pts[e.b], pts[f.a], pts[f.b]) {
+				if segmentsIntersect(pts[e.a], pts[e.b], pts[f.a], pts[f.b]) {
 					return false
 				}
 			}
@@ -98,6 +67,40 @@ func TestPropertyGabrielPlanarity(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// orientation classifies the turn a→b→c: +1 counter-clockwise, −1
+// clockwise, 0 collinear (within eps of area).
+func orientation(a, b, c Point) int {
+	cross := b.Sub(a).Cross(c.Sub(a))
+	const eps = 1e-12
+	switch {
+	case cross > eps:
+		return 1
+	case cross < -eps:
+		return -1
+	default:
+		return 0
+	}
+}
+
+// segmentsIntersect is the planarity test's oracle: it reports whether
+// closed segments ab and cd share a point, including collinear overlap and
+// shared endpoints.
+func segmentsIntersect(a, b, c, d Point) bool {
+	o1 := orientation(a, b, c)
+	o2 := orientation(a, b, d)
+	o3 := orientation(c, d, a)
+	o4 := orientation(c, d, b)
+	if o1 != o2 && o3 != o4 {
+		return true
+	}
+	onSeg := func(p, q, r Point) bool { // r on segment pq, assuming collinear
+		return min(p.X, q.X)-1e-12 <= r.X && r.X <= max(p.X, q.X)+1e-12 &&
+			min(p.Y, q.Y)-1e-12 <= r.Y && r.Y <= max(p.Y, q.Y)+1e-12
+	}
+	return o1 == 0 && onSeg(a, b, c) || o2 == 0 && onSeg(a, b, d) ||
+		o3 == 0 && onSeg(c, d, a) || o4 == 0 && onSeg(c, d, b)
 }
 
 func TestSegmentsIntersect(t *testing.T) {
@@ -116,73 +119,9 @@ func TestSegmentsIntersect(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := SegmentsIntersect(tt.a, tt.b, tt.c, tt.d); got != tt.want {
+			if got := segmentsIntersect(tt.a, tt.b, tt.c, tt.d); got != tt.want {
 				t.Fatalf("got %v, want %v", got, tt.want)
 			}
 		})
-	}
-}
-
-func TestSegmentIntersection(t *testing.T) {
-	p, ok := SegmentIntersection(Pt(0, 0), Pt(2, 2), Pt(0, 2), Pt(2, 0))
-	if !ok || !p.Near(Pt(1, 1), 1e-9) {
-		t.Fatalf("intersection = %v, ok=%v", p, ok)
-	}
-	if _, ok := SegmentIntersection(Pt(0, 0), Pt(1, 0), Pt(0, 1), Pt(1, 1)); ok {
-		t.Fatal("parallel segments should not intersect")
-	}
-	if _, ok := SegmentIntersection(Pt(0, 0), Pt(1, 0), Pt(5, -1), Pt(5, 1)); ok {
-		t.Fatal("out-of-range intersection accepted")
-	}
-}
-
-func TestConvexHull(t *testing.T) {
-	pts := []Point{Pt(0, 0), Pt(4, 0), Pt(4, 4), Pt(0, 4), Pt(2, 2), Pt(1, 3)}
-	hull := ConvexHull(pts)
-	if len(hull) != 4 {
-		t.Fatalf("hull has %d vertices: %v", len(hull), hull)
-	}
-	if !almostEq(hull.Area(), 16) {
-		t.Fatalf("hull area = %v", hull.Area())
-	}
-}
-
-func TestConvexHullDegenerate(t *testing.T) {
-	if h := ConvexHull(nil); h != nil {
-		t.Fatalf("hull of empty = %v", h)
-	}
-	if h := ConvexHull([]Point{Pt(1, 1)}); len(h) != 1 {
-		t.Fatalf("hull of single point = %v", h)
-	}
-	if h := ConvexHull([]Point{Pt(1, 1), Pt(1, 1), Pt(1, 1)}); len(h) != 1 {
-		t.Fatalf("hull of duplicates = %v", h)
-	}
-	h := ConvexHull([]Point{Pt(0, 0), Pt(1, 1), Pt(2, 2)})
-	if len(h) > 2 {
-		t.Fatalf("hull of collinear points = %v", h)
-	}
-}
-
-// Property: every input point lies inside or on the hull.
-func TestPropertyHullContainsAll(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		pts := make([]Point, 25)
-		for i := range pts {
-			pts[i] = Pt(r.Float64()*100, r.Float64()*100)
-		}
-		hull := ConvexHull(pts)
-		if len(hull) < 3 {
-			return true
-		}
-		for _, p := range pts {
-			if !hull.Contains(p) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -32,9 +32,6 @@ func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 // Cross returns the z-component of the cross product p×q.
 func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
 
-// Norm returns the Euclidean length of p treated as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 
@@ -69,26 +66,8 @@ func (p Point) Angle(q Point) float64 { return math.Atan2(q.Y-p.Y, q.X-p.X) }
 // Eq reports exact equality of coordinates.
 func (p Point) Eq(q Point) bool { return p.X == q.X && p.Y == q.Y }
 
-// Near reports whether p and q are within eps of each other.
-func (p Point) Near(q Point, eps float64) bool { return p.Dist(q) <= eps }
-
 // String formats the point with centimeter precision.
 func (p Point) String() string { return fmt.Sprintf("(%.2f, %.2f)", p.X, p.Y) }
-
-// Orientation classifies the turn a→b→c: +1 counter-clockwise, −1
-// clockwise, 0 collinear (within eps of area).
-func Orientation(a, b, c Point) int {
-	cross := b.Sub(a).Cross(c.Sub(a))
-	const eps = 1e-12
-	switch {
-	case cross > eps:
-		return 1
-	case cross < -eps:
-		return -1
-	default:
-		return 0
-	}
-}
 
 // Nearest returns the index of the point in sites closest to p, or −1 for
 // an empty slice. Ties resolve to the lowest index, keeping the result

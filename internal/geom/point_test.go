@@ -35,9 +35,6 @@ func TestPointDistances(t *testing.T) {
 	if !almostEq(a.Dist2(b), 25) {
 		t.Errorf("Dist2 = %v", a.Dist2(b))
 	}
-	if !almostEq(b.Norm(), 5) {
-		t.Errorf("Norm = %v", b.Norm())
-	}
 }
 
 func TestPointMidLerp(t *testing.T) {
@@ -75,23 +72,14 @@ func TestPointAngle(t *testing.T) {
 	}
 }
 
-func TestPointNear(t *testing.T) {
-	if !Pt(0, 0).Near(Pt(0, 0.5), 0.5) {
-		t.Error("Near should include boundary")
-	}
-	if Pt(0, 0).Near(Pt(0, 0.51), 0.5) {
-		t.Error("Near false positive")
-	}
-}
-
 func TestOrientation(t *testing.T) {
-	if Orientation(Pt(0, 0), Pt(1, 0), Pt(1, 1)) != 1 {
+	if orientation(Pt(0, 0), Pt(1, 0), Pt(1, 1)) != 1 {
 		t.Error("left turn should be +1")
 	}
-	if Orientation(Pt(0, 0), Pt(1, 0), Pt(1, -1)) != -1 {
+	if orientation(Pt(0, 0), Pt(1, 0), Pt(1, -1)) != -1 {
 		t.Error("right turn should be -1")
 	}
-	if Orientation(Pt(0, 0), Pt(1, 1), Pt(2, 2)) != 0 {
+	if orientation(Pt(0, 0), Pt(1, 1), Pt(2, 2)) != 0 {
 		t.Error("collinear should be 0")
 	}
 }

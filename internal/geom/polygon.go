@@ -21,73 +21,6 @@ func (pg Polygon) Area() float64 {
 	return math.Abs(sum) / 2
 }
 
-// Centroid returns the polygon's centroid; for degenerate polygons it
-// returns the vertex average.
-func (pg Polygon) Centroid() Point {
-	if len(pg) == 0 {
-		return Point{}
-	}
-	var signed float64
-	var cx, cy float64
-	for i := 0; i < len(pg); i++ {
-		j := (i + 1) % len(pg)
-		w := pg[i].Cross(pg[j])
-		signed += w
-		cx += (pg[i].X + pg[j].X) * w
-		cy += (pg[i].Y + pg[j].Y) * w
-	}
-	if math.Abs(signed) < 1e-12 {
-		var sx, sy float64
-		for _, p := range pg {
-			sx += p.X
-			sy += p.Y
-		}
-		n := float64(len(pg))
-		return Point{sx / n, sy / n}
-	}
-	return Point{cx / (3 * signed), cy / (3 * signed)}
-}
-
-// Contains reports whether p lies inside or on the boundary of the polygon
-// (ray-casting with boundary tolerance).
-func (pg Polygon) Contains(p Point) bool {
-	if len(pg) < 3 {
-		return false
-	}
-	const eps = 1e-9
-	inside := false
-	for i := 0; i < len(pg); i++ {
-		j := (i + 1) % len(pg)
-		a, b := pg[i], pg[j]
-		if distPointSegment(p, a, b) <= eps {
-			return true
-		}
-		if (a.Y > p.Y) != (b.Y > p.Y) {
-			x := a.X + (p.Y-a.Y)*(b.X-a.X)/(b.Y-a.Y)
-			if p.X < x {
-				inside = !inside
-			}
-		}
-	}
-	return inside
-}
-
-// distPointSegment returns the distance from p to segment ab.
-func distPointSegment(p, a, b Point) float64 {
-	ab := b.Sub(a)
-	l2 := ab.Dot(ab)
-	if l2 == 0 {
-		return p.Dist(a)
-	}
-	t := p.Sub(a).Dot(ab) / l2
-	if t < 0 {
-		t = 0
-	} else if t > 1 {
-		t = 1
-	}
-	return p.Dist(a.Add(ab.Scale(t)))
-}
-
 // HalfPlane is the set of points q with Normal·q ≤ Offset.
 type HalfPlane struct {
 	Normal Point
@@ -128,18 +61,4 @@ func (pg Polygon) Clip(h HalfPlane) Polygon {
 		return nil
 	}
 	return out
-}
-
-// RegularPolygon returns an n-gon centered at c with circumradius r,
-// first vertex at angle phase (radians), counter-clockwise.
-func RegularPolygon(c Point, r float64, n int, phase float64) Polygon {
-	if n < 3 {
-		return nil
-	}
-	pg := make(Polygon, n)
-	for i := 0; i < n; i++ {
-		a := phase + 2*math.Pi*float64(i)/float64(n)
-		pg[i] = Point{c.X + r*math.Cos(a), c.Y + r*math.Sin(a)}
-	}
-	return pg
 }

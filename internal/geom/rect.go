@@ -7,18 +7,6 @@ type Rect struct {
 	Min, Max Point
 }
 
-// NewRect returns the rectangle spanning the two corner points in any order.
-func NewRect(a, b Point) Rect {
-	r := Rect{Min: a, Max: b}
-	if r.Min.X > r.Max.X {
-		r.Min.X, r.Max.X = r.Max.X, r.Min.X
-	}
-	if r.Min.Y > r.Max.Y {
-		r.Min.Y, r.Max.Y = r.Max.Y, r.Min.Y
-	}
-	return r
-}
-
 // Square returns the axis-aligned square with lower-left corner at origin
 // and the given side length.
 func Square(origin Point, side float64) Rect {
@@ -36,11 +24,6 @@ func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
 // Center returns the rectangle's centroid.
 func (r Rect) Center() Point { return r.Min.Mid(r.Max) }
-
-// Contains reports whether p lies inside r (inclusive of edges).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
 
 // Clamp returns the point in r closest to p.
 func (r Rect) Clamp(p Point) Point {

@@ -32,34 +32,3 @@ func VoronoiCells(sites []Point, bounds Rect) []Polygon {
 	}
 	return cells
 }
-
-// VoronoiOwner returns the index of the site whose cell contains p — the
-// nearest site. It is the ground truth the dynamic distributed algorithm
-// approximates with message passing.
-func VoronoiOwner(p Point, sites []Point) int { return Nearest(p, sites) }
-
-// CellChangeRegion returns the set of probe points (from probes) whose
-// nearest site changes when site moved moves from oldPos to newPos. This is
-// exactly the region whose sensors must learn about a robot's relocation in
-// the dynamic algorithm (the shaded area of the paper's Figure 1).
-func CellChangeRegion(probes []Point, sites []Point, moved int, oldPos, newPos Point) []int {
-	if moved < 0 || moved >= len(sites) {
-		return nil
-	}
-	before := make([]Point, len(sites))
-	copy(before, sites)
-	before[moved] = oldPos
-	after := make([]Point, len(sites))
-	copy(after, sites)
-	after[moved] = newPos
-
-	var changed []int
-	for i, p := range probes {
-		ob := Nearest(p, before) == moved
-		oa := Nearest(p, after) == moved
-		if ob != oa {
-			changed = append(changed, i)
-		}
-	}
-	return changed
-}

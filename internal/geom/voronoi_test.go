@@ -3,7 +3,6 @@ package geom
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestVoronoiTwoSites(t *testing.T) {
@@ -82,74 +81,10 @@ func TestVoronoiOwnerMatchesCellMembership(t *testing.T) {
 	cells := VoronoiCells(sites, bounds)
 	for trial := 0; trial < 500; trial++ {
 		p := Pt(r.Float64()*100, r.Float64()*100)
-		owner := VoronoiOwner(p, sites)
+		owner := Nearest(p, sites)
 		if !cells[owner].Contains(p) {
 			t.Fatalf("owner cell %d does not contain %v", owner, p)
 		}
-	}
-}
-
-func TestCellChangeRegionMoveTowardProbe(t *testing.T) {
-	sites := []Point{Pt(0, 0), Pt(100, 0)}
-	probes := []Point{Pt(40, 0), Pt(60, 0), Pt(90, 0)}
-	// Move site 0 from (0,0) to (70,0): probes at 40 flips away from site 0?
-	// Before: 40→site0, 60→site1, 90→site1. After move to (70,0):
-	// 40 → dist 30 vs 60 → site0; 60 → 10 vs 40 → site0; 90 → 20 vs 10 → site1.
-	changed := CellChangeRegion(probes, sites, 0, Pt(0, 0), Pt(70, 0))
-	want := map[int]bool{1: true}
-	if len(changed) != 1 || !want[changed[0]] {
-		t.Fatalf("changed = %v, want [1]", changed)
-	}
-}
-
-func TestCellChangeRegionNoMove(t *testing.T) {
-	sites := []Point{Pt(0, 0), Pt(10, 10)}
-	probes := []Point{Pt(1, 1), Pt(9, 9)}
-	if got := CellChangeRegion(probes, sites, 0, Pt(0, 0), Pt(0, 0)); got != nil {
-		t.Fatalf("no-op move changed %v", got)
-	}
-}
-
-func TestCellChangeRegionBadIndex(t *testing.T) {
-	if got := CellChangeRegion([]Point{Pt(0, 0)}, []Point{Pt(1, 1)}, 5, Pt(0, 0), Pt(1, 0)); got != nil {
-		t.Fatalf("bad index returned %v", got)
-	}
-}
-
-// Property: every changed probe is strictly closer to the relevant position
-// flip — i.e. membership computed directly agrees with CellChangeRegion.
-func TestPropertyCellChangeConsistent(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		sites := make([]Point, 4)
-		for i := range sites {
-			sites[i] = Pt(r.Float64()*100, r.Float64()*100)
-		}
-		probes := make([]Point, 30)
-		for i := range probes {
-			probes[i] = Pt(r.Float64()*100, r.Float64()*100)
-		}
-		oldPos := sites[0]
-		newPos := Pt(r.Float64()*100, r.Float64()*100)
-		changed := CellChangeRegion(probes, sites, 0, oldPos, newPos)
-		changedSet := make(map[int]bool, len(changed))
-		for _, i := range changed {
-			changedSet[i] = true
-		}
-		before := append([]Point(nil), sites...)
-		before[0] = oldPos
-		after := append([]Point(nil), sites...)
-		after[0] = newPos
-		for i, p := range probes {
-			flip := (Nearest(p, before) == 0) != (Nearest(p, after) == 0)
-			if flip != changedSet[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -73,7 +73,7 @@ type Config struct {
 	// Enabled switches the whole layer on.
 	Enabled bool `json:"enabled,omitempty"`
 	// Limit caps the violations retained per run (default 100 when
-	// Enabled); further violations are counted but not stored, so a
+	// Enabled); further violations are not stored, so a
 	// systematically broken run cannot exhaust memory with diagnostics.
 	Limit int `json:"limit,omitempty"`
 }
@@ -162,7 +162,6 @@ type Checker struct {
 	now func() sim.Time
 
 	violations []Violation
-	dropped    int
 
 	// Robot kinematics.
 	robotSpeed float64
@@ -222,7 +221,6 @@ func (c *Checker) RobotDied(id radio.NodeID) { c.deadRobots[id] = true }
 // Violate records one violation, subject to the retention limit.
 func (c *Checker) Violate(law, entity, detail string) {
 	if len(c.violations) >= c.cfg.Limit {
-		c.dropped++
 		return
 	}
 	c.violations = append(c.violations, Violation{
@@ -232,12 +230,6 @@ func (c *Checker) Violate(law, entity, detail string) {
 
 // Violations returns the recorded violations (nil when the run was clean).
 func (c *Checker) Violations() []Violation { return c.violations }
-
-// Dropped reports how many violations exceeded the retention limit.
-func (c *Checker) Dropped() int { return c.dropped }
-
-// Ok reports whether the run has been violation-free so far.
-func (c *Checker) Ok() bool { return len(c.violations) == 0 && c.dropped == 0 }
 
 // KernelAudit returns the sim-kernel audit adapter to install with
 // sim.Scheduler.SetAudit: the kernel detects its own bookkeeping breaches

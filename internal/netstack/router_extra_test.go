@@ -7,6 +7,9 @@ import (
 	"roborepair/internal/radio"
 )
 
+// viewOf returns a view of an ID-ascending list of neighbors.
+func viewOf(list []Neighbor) NeighborView { return NeighborView{located: list} }
+
 func TestOriginateAppliesDefaults(t *testing.T) {
 	tn := newTestNet()
 	a := tn.add(1, geom.Pt(0, 0), 63)
@@ -84,7 +87,7 @@ func TestGreedyPrefersClosestNeighbor(t *testing.T) {
 		{ID: 2, Loc: geom.Pt(55, 0)},
 		{ID: 3, Loc: geom.Pt(40, 20)},
 	}
-	next, ok := greedyNext(self, dst, ViewOf(neighbors))
+	next, ok := greedyNext(self, dst, viewOf(neighbors))
 	if !ok || next.ID != 2 {
 		t.Fatalf("greedyNext = %v, want node 2", next)
 	}
@@ -97,7 +100,7 @@ func TestGreedyRejectsBackwardNeighbors(t *testing.T) {
 		{ID: 1, Loc: geom.Pt(0, 0)},  // farther from dst than self
 		{ID: 2, Loc: geom.Pt(45, 0)}, // also farther
 	}
-	if _, ok := greedyNext(self, dst, ViewOf(neighbors)); ok {
+	if _, ok := greedyNext(self, dst, viewOf(neighbors)); ok {
 		t.Fatal("greedy picked a neighbor that makes no progress")
 	}
 }
@@ -110,7 +113,7 @@ func TestPerimeterNextRightHandRule(t *testing.T) {
 		{ID: 2, Loc: geom.Pt(-50, 0)}, // west: 180°
 		{ID: 3, Loc: geom.Pt(0, -50)}, // south: 270°
 	}
-	next, ok := perimeterNext(self, prev, ViewOf(neighbors))
+	next, ok := perimeterNext(self, prev, viewOf(neighbors))
 	if !ok || next.ID != 1 {
 		t.Fatalf("perimeterNext = %v, want first ccw neighbor (north)", next)
 	}
@@ -122,13 +125,13 @@ func TestPerimeterNextAvoidsImmediateBounce(t *testing.T) {
 	// Only neighbor is exactly back where the packet came from: the rule
 	// assigns it a full-turn penalty but still uses it as a last resort.
 	neighbors := []Neighbor{{ID: 1, Loc: geom.Pt(50, 0)}}
-	next, ok := perimeterNext(self, prev, ViewOf(neighbors))
+	next, ok := perimeterNext(self, prev, viewOf(neighbors))
 	if !ok || next.ID != 1 {
 		t.Fatalf("lone backtrack neighbor should still be used: %v %v", next, ok)
 	}
 	// With an alternative, the backtrack loses.
 	neighbors = append(neighbors, Neighbor{ID: 2, Loc: geom.Pt(0, 50)})
-	next, _ = perimeterNext(self, prev, ViewOf(neighbors))
+	next, _ = perimeterNext(self, prev, viewOf(neighbors))
 	if next.ID != 2 {
 		t.Fatalf("perimeter bounced straight back despite alternative: %v", next)
 	}

@@ -169,17 +169,6 @@ func (t *NeighborTable) Remove(id radio.NodeID) {
 	}
 }
 
-// Get returns the entry for id.
-func (t *NeighborTable) Get(id radio.NodeID) (Neighbor, bool) {
-	if i, ok := t.findPeer(id); ok {
-		return t.expand(t.peers[i]), true
-	}
-	if j, ok := t.findLocated(id); ok {
-		return (*t.located)[j], true
-	}
-	return Neighbor{}, false
-}
-
 // expand returns a peer entry with its location read from the medium.
 func (t *NeighborTable) expand(p peer) Neighbor {
 	pos, _ := t.medium.StaticPos(p.ID)
@@ -188,20 +177,6 @@ func (t *NeighborTable) expand(p peer) Neighbor {
 
 // Len reports the number of entries.
 func (t *NeighborTable) Len() int { return len(t.peers) + len(t.list()) }
-
-// Touch refreshes LastHeard for an existing entry without changing its
-// location; it reports whether the entry existed.
-func (t *NeighborTable) Touch(id radio.NodeID, now sim.Time) bool {
-	if i, ok := t.findPeer(id); ok {
-		t.peers[i].LastHeard = now
-		return true
-	}
-	if j, ok := t.findLocated(id); ok {
-		(*t.located)[j].LastHeard = now
-		return true
-	}
-	return false
-}
 
 // Purge removes the entries not heard since the deadline, except those
 // keep accepts. keep sees each stale entry in ascending ID order and
@@ -265,21 +240,11 @@ func (t *NeighborTable) Purge(deadline sim.Time, keep func(n Neighbor) (Neighbor
 
 // View returns a read-only view of the table's entries in ascending ID
 // order. It copies nothing and is valid only until the next Upsert,
-// Remove, Touch or Purge: a caller that mutates the table while still
+// Remove or Purge: a caller that mutates the table while still
 // needing entries copies them out first, as the neighbor watch does
 // before Purge.
 func (t *NeighborTable) View() NeighborView {
 	return NeighborView{peers: t.peers, located: t.list(), medium: t.medium}
-}
-
-// AppendAll appends a copy of the table's entries, ascending by ID, to
-// dst.
-func (t *NeighborTable) AppendAll(dst []Neighbor) []Neighbor {
-	it := t.View().Iter()
-	for n, ok := it.Next(); ok; n, ok = it.Next() {
-		dst = append(dst, n)
-	}
-	return dst
 }
 
 // NeighborView is a read-only, ID-ascending sequence of neighbors: a
@@ -292,10 +257,6 @@ type NeighborView struct {
 	ranged  []radio.RangeEntry
 	medium  *radio.Medium
 }
-
-// ViewOf returns a view of an ID-ascending list of neighbors. The view
-// shares the list.
-func ViewOf(list []Neighbor) NeighborView { return NeighborView{located: list} }
 
 // Len reports the number of neighbors in the view.
 func (v NeighborView) Len() int { return len(v.peers) + len(v.located) + len(v.ranged) }

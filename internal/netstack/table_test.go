@@ -12,6 +12,27 @@ import (
 	"roborepair/internal/sim"
 )
 
+// Get returns the entry for id, read through the table's view.
+func (t *NeighborTable) Get(id radio.NodeID) (Neighbor, bool) {
+	it := t.View().Iter()
+	for n, ok := it.Next(); ok; n, ok = it.Next() {
+		if n.ID == id {
+			return n, true
+		}
+	}
+	return Neighbor{}, false
+}
+
+// AppendAll appends a copy of the table's entries, ascending by ID, to
+// dst.
+func (t *NeighborTable) AppendAll(dst []Neighbor) []Neighbor {
+	it := t.View().Iter()
+	for n, ok := it.Next(); ok; n, ok = it.Next() {
+		dst = append(dst, n)
+	}
+	return dst
+}
+
 func TestTableUpsertGetRemove(t *testing.T) {
 	tb := &NeighborTable{}
 	tb.Upsert(1, geom.Pt(1, 2), 10)
@@ -30,21 +51,6 @@ func TestTableUpsertGetRemove(t *testing.T) {
 	}
 	if tb.Len() != 0 {
 		t.Fatalf("Len = %d", tb.Len())
-	}
-}
-
-func TestTableTouch(t *testing.T) {
-	tb := &NeighborTable{}
-	tb.Upsert(1, geom.Pt(1, 1), 5)
-	if !tb.Touch(1, 50) {
-		t.Fatal("Touch of existing entry reported false")
-	}
-	n, _ := tb.Get(1)
-	if n.LastHeard != 50 || !n.Loc.Eq(geom.Pt(1, 1)) {
-		t.Fatalf("Touch broke entry: %v", n)
-	}
-	if tb.Touch(99, 50) {
-		t.Fatal("Touch of missing entry reported true")
 	}
 }
 
@@ -112,7 +118,7 @@ func modelField(r *rng.Source) *radio.Medium {
 }
 
 // TestTableMatchesMapModel drives the table through seeded random
-// Upsert/Remove/Touch/Purge sequences against a map reference: after
+// Upsert/Remove/Purge sequences against a map reference: after
 // every operation the table must hold exactly the model's entries in
 // ascending ID order, and every Purge must offer keep exactly the IDs
 // the model finds stale, ascending. The table is bound to a medium with
@@ -147,13 +153,11 @@ func TestTableMatchesMapModel(t *testing.T) {
 				tb.Remove(id)
 				delete(model, id)
 			case 5, 6:
-				n, ok := model[id]
-				if ok {
+				// Hearing a known neighbor again where it was.
+				if n, ok := model[id]; ok {
 					n.LastHeard = now
 					model[id] = n
-				}
-				if got := tb.Touch(id, now); got != ok {
-					t.Fatalf("seed %d op %d: Touch(%d) = %v, model has it: %v", seed, op, id, got, ok)
+					tb.Upsert(id, n.Loc, now)
 				}
 			case 7:
 				// Odd IDs are kept and refreshed (some moved), even ones

@@ -48,7 +48,7 @@ func TestSensorStateForeignLocations(t *testing.T) {
 		id  radio.NodeID
 		loc geom.Point
 	}{{2, off}, {3, negZero}, {90, mgr.pos}, {77, stray}} {
-		n, ok := s.Table().Get(c.id)
+		n, ok := tableEntry(s.Table(), c.id)
 		if !ok || !same(n.Loc, c.loc) {
 			t.Errorf("entry %d = %v, %v; want heard location %v kept bit for bit", c.id, n, ok, c.loc)
 		}

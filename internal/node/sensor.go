@@ -231,18 +231,6 @@ func (s *Sensor) SetTarget(id radio.NodeID, loc geom.Point) {
 	s.targetLoc = loc
 }
 
-// Guardian returns the sensor's current guardian (0 when none).
-func (s *Sensor) Guardian() radio.NodeID { return s.guardian }
-
-// Guardees returns the IDs this sensor currently guards, for tests.
-func (s *Sensor) Guardees() []radio.NodeID {
-	out := make([]radio.NodeID, 0, len(s.guardees))
-	for i := range s.guardees {
-		out = append(out, s.guardees[i].id)
-	}
-	return out
-}
-
 // robotAt returns the track of a known robot, or nil.
 func (s *Sensor) robotAt(id radio.NodeID) *robotTrack {
 	if i, ok := s.robotIndex(id); ok && s.robots[i].known {
@@ -317,14 +305,6 @@ func (s *Sensor) upsertNeighbor(id radio.NodeID, loc geom.Point, now sim.Time) {
 		s.table.Reserve(s.medium().StaticDegree(s.id))
 	}
 	s.table.Upsert(id, loc, now)
-}
-
-// KnowsRobot reports the last location the sensor heard for a robot.
-func (s *Sensor) KnowsRobot(id radio.NodeID) (geom.Point, bool) {
-	if tr := s.robotAt(id); tr != nil {
-		return tr.loc, true
-	}
-	return geom.Point{}, false
 }
 
 // ReplayRejected reports how many robot updates the StrictSeq guard

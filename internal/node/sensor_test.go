@@ -94,13 +94,13 @@ func TestBootAnnouncePopulatesNeighborTables(t *testing.T) {
 	b := h.addSensor(2, geom.Pt(40, 0), allowAll{}, Hooks{})
 	far := h.addSensor(3, geom.Pt(200, 0), allowAll{}, Hooks{})
 	h.sched.Run(2)
-	if _, ok := a.Table().Get(2); !ok {
+	if _, ok := tableEntry(a.Table(), 2); !ok {
 		t.Fatal("a did not learn b from its announcement")
 	}
-	if _, ok := b.Table().Get(1); !ok {
+	if _, ok := tableEntry(b.Table(), 1); !ok {
 		t.Fatal("b did not learn a")
 	}
-	if _, ok := far.Table().Get(1); ok {
+	if _, ok := tableEntry(far.Table(), 1); ok {
 		t.Fatal("far sensor learned out-of-range node")
 	}
 }
@@ -111,12 +111,12 @@ func TestGuardianSelectionNearestNeighbor(t *testing.T) {
 	h.addSensor(2, geom.Pt(30, 0), allowAll{}, Hooks{})
 	near := h.addSensor(3, geom.Pt(10, 0), allowAll{}, Hooks{})
 	h.sched.Run(6) // past SettleDelay
-	if s.Guardian() != 3 {
-		t.Fatalf("guardian = %v, want 3 (nearest)", s.Guardian())
+	if s.guardian != 3 {
+		t.Fatalf("guardian = %v, want 3 (nearest)", s.guardian)
 	}
 	found := false
-	for _, g := range near.Guardees() {
-		if g == 1 {
+	for _, g := range near.guardees {
+		if g.id == 1 {
 			found = true
 		}
 	}
@@ -131,8 +131,8 @@ func TestGuardianPolicyFilter(t *testing.T) {
 	h.addSensor(2, geom.Pt(105, 0), sameHalf{}, Hooks{}) // nearest but other half
 	h.addSensor(3, geom.Pt(60, 0), sameHalf{}, Hooks{})  // same half
 	h.sched.Run(6)
-	if s.Guardian() != 3 {
-		t.Fatalf("guardian = %v, want 3 (policy-permitted)", s.Guardian())
+	if s.guardian != 3 {
+		t.Fatalf("guardian = %v, want 3 (policy-permitted)", s.guardian)
 	}
 }
 
@@ -140,8 +140,8 @@ func TestIsolatedSensorHasNoGuardian(t *testing.T) {
 	h := newHarness()
 	s := h.addSensor(1, geom.Pt(0, 0), allowAll{}, Hooks{})
 	h.sched.Run(10)
-	if s.Guardian() != 0 {
-		t.Fatalf("isolated sensor has guardian %v", s.Guardian())
+	if s.guardian != 0 {
+		t.Fatalf("isolated sensor has guardian %v", s.guardian)
 	}
 }
 
@@ -172,7 +172,7 @@ func TestGuardianReportsFailedGuardee(t *testing.T) {
 		t.Fatalf("delivered payload wrong: %+v", robot.packets[0].Payload)
 	}
 	// Guardian removed the guardee from its table.
-	if _, ok := a.Table().Get(2); ok {
+	if _, ok := tableEntry(a.Table(), 2); ok {
 		t.Fatal("failed guardee still in guardian's table")
 	}
 }
@@ -183,13 +183,13 @@ func TestGuardeeReselectsAfterGuardianFailure(t *testing.T) {
 	g1 := h.addSensor(2, geom.Pt(10, 0), allowAll{}, Hooks{})
 	h.addSensor(3, geom.Pt(25, 0), allowAll{}, Hooks{})
 	h.sched.Run(20)
-	if s.Guardian() != 2 {
-		t.Fatalf("initial guardian = %v", s.Guardian())
+	if s.guardian != 2 {
+		t.Fatalf("initial guardian = %v", s.guardian)
 	}
 	g1.FailNow()
 	h.sched.Run(80)
-	if s.Guardian() != 3 {
-		t.Fatalf("guardian after failure = %v, want 3", s.Guardian())
+	if s.guardian != 3 {
+		t.Fatalf("guardian after failure = %v, want 3", s.guardian)
 	}
 }
 
@@ -233,12 +233,12 @@ func TestNoteRobotRangeGating(t *testing.T) {
 	h.sched.Run(2)
 	// In-range robot announce enters the neighbor table.
 	s.HandleFrame(radio.Frame{Payload: wire.RobotUpdate{Robot: 90, Loc: geom.Pt(40, 0), Seq: 1}})
-	if _, ok := s.Table().Get(90); !ok {
+	if _, ok := tableEntry(s.Table(), 90); !ok {
 		t.Fatal("in-range robot not in table")
 	}
 	// The same robot moving out of range leaves the table but stays known.
 	s.HandleFrame(radio.Frame{Payload: wire.RobotUpdate{Robot: 90, Loc: geom.Pt(150, 0), Seq: 2}})
-	if _, ok := s.Table().Get(90); ok {
+	if _, ok := tableEntry(s.Table(), 90); ok {
 		t.Fatal("out-of-range robot still in table")
 	}
 	if loc, ok := s.KnowsRobot(90); !ok || !loc.Eq(geom.Pt(150, 0)) {
@@ -360,9 +360,9 @@ func TestDeadSensorIsSilent(t *testing.T) {
 	}
 	// Dead sensor ignores incoming frames.
 	a.HandleFrame(radio.Frame{Payload: wire.Beacon{From: 2, Loc: b.Pos()}})
-	if _, ok := a.Table().Get(2); ok {
+	if _, ok := tableEntry(a.Table(), 2); ok {
 		// Entry may exist from before death: confirm it is not refreshed.
-		n, _ := a.Table().Get(2)
+		n, _ := tableEntry(a.Table(), 2)
 		if n.LastHeard >= 20 {
 			t.Fatal("dead sensor processed a frame")
 		}
@@ -379,10 +379,10 @@ func TestStaleNeighborPurgedButRobotRetained(t *testing.T) {
 	a.HandleFrame(radio.Frame{Payload: wire.RobotUpdate{Robot: 90, Loc: geom.Pt(30, 0), Seq: 1}})
 	b.FailNow()
 	h.sched.Run(100)
-	if _, ok := a.Table().Get(2); ok {
+	if _, ok := tableEntry(a.Table(), 2); ok {
 		t.Fatal("stale dead sensor not purged")
 	}
-	if _, ok := a.Table().Get(90); !ok {
+	if _, ok := tableEntry(a.Table(), 90); !ok {
 		t.Fatal("robot was purged from table despite being exempt")
 	}
 }

@@ -42,7 +42,8 @@ func TestTableMatchesRadioStaticSet(t *testing.T) {
 			t.Fatalf("sensor %d: static degree %d, %d stations in range", s.ID(), d, len(inRange))
 		}
 		var got, want []radio.NodeID
-		for _, n := range s.Table().AppendAll(nil) {
+		it := s.Table().View().Iter()
+		for n, ok := it.Next(); ok; n, ok = it.Next() {
 			got = append(got, n.ID)
 		}
 		for _, e := range inRange {

@@ -22,6 +22,26 @@ type trackModel struct {
 	targetLoc geom.Point
 }
 
+// KnowsRobot reports the last location the sensor heard for a robot.
+func (s *Sensor) KnowsRobot(id radio.NodeID) (geom.Point, bool) {
+	if tr := s.robotAt(id); tr != nil {
+		return tr.loc, true
+	}
+	return geom.Point{}, false
+}
+
+// tableEntry returns a neighbor table's entry for id, read through its
+// view.
+func tableEntry(tb *netstack.NeighborTable, id radio.NodeID) (netstack.Neighbor, bool) {
+	it := tb.View().Iter()
+	for n, ok := it.Next(); ok; n, ok = it.Next() {
+		if n.ID == id {
+			return n, true
+		}
+	}
+	return netstack.Neighbor{}, false
+}
+
 func (m *trackModel) get(id radio.NodeID) *robotTrack {
 	tr, ok := m.tracks[id]
 	if !ok {

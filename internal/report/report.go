@@ -118,19 +118,3 @@ func (t *Table) CSV() string {
 	}
 	return b.String()
 }
-
-// Markdown renders the table as a GitHub-flavored markdown table.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	}
-	b.WriteString("| " + strings.Join(t.Columns, " | ") + " |\n")
-	b.WriteString("|" + strings.Repeat("---|", len(t.Columns)) + "\n")
-	for _, row := range t.rows {
-		cells := make([]string, len(t.Columns))
-		copy(cells, row)
-		b.WriteString("| " + strings.Join(cells, " | ") + " |\n")
-	}
-	return b.String()
-}

@@ -74,21 +74,6 @@ func TestCSV(t *testing.T) {
 	}
 }
 
-func TestMarkdown(t *testing.T) {
-	tb := NewTable("Fig 3", "x", "y")
-	tb.AddRow("1", "2")
-	md := tb.Markdown()
-	if !strings.Contains(md, "**Fig 3**") {
-		t.Fatal("title missing")
-	}
-	if !strings.Contains(md, "| x | y |") {
-		t.Fatalf("header missing:\n%s", md)
-	}
-	if !strings.Contains(md, "| 1 | 2 |") {
-		t.Fatalf("row missing:\n%s", md)
-	}
-}
-
 func TestFormatters(t *testing.T) {
 	if F(1.2345) != "1.23" {
 		t.Errorf("F = %q", F(1.2345))

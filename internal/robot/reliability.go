@@ -82,9 +82,6 @@ type outDispatch struct {
 	acked    bool
 }
 
-// Stranded returns the tasks that died with this robot (set by FailNow).
-func (r *Robot) Stranded() []Task { return r.stranded }
-
 // Managing reports whether this robot has assumed the manager role.
 func (r *Robot) Managing() bool { return r.managing }
 

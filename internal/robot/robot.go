@@ -264,9 +264,6 @@ func (r *Robot) Seq() uint64 { return r.seq }
 // Cargo reports the replacement nodes on board (-1 means unlimited).
 func (r *Robot) Cargo() int { return r.cargo }
 
-// Restocks reports how many depot reload trips the robot has made.
-func (r *Robot) Restocks() int { return r.restocks }
-
 // ReplayRejected reports how many peer updates the StrictSeq guard
 // rejected as stale.
 func (r *Robot) ReplayRejected() uint64 { return r.replayRejected }

@@ -329,8 +329,8 @@ func TestRobotCargoRestocking(t *testing.T) {
 	if len(done) != 3 {
 		t.Fatalf("completed %d tasks", len(done))
 	}
-	if r.Restocks() != 1 {
-		t.Fatalf("restocks = %d, want 1 (after two deliveries)", r.Restocks())
+	if r.restocks != 1 {
+		t.Fatalf("restocks = %d, want 1 (after two deliveries)", r.restocks)
 	}
 	// Travel: 0→10 (10) + 10→20 (10) + 20→depot (20) + depot→30 (30) = 70.
 	if math.Abs(r.Traveled()-70) > 1e-9 {
@@ -353,8 +353,8 @@ func TestRobotUnlimitedCargoNeverRestocks(t *testing.T) {
 		r.Enqueue(Task{Failed: radio.NodeID(101 + i), Loc: geom.Pt(float64(10+i*10), 0), EnqueuedAt: g.sched.Now()})
 	}
 	g.sched.Run(1000)
-	if r.Restocks() != 0 {
-		t.Fatalf("unlimited robot restocked %d times", r.Restocks())
+	if r.restocks != 0 {
+		t.Fatalf("unlimited robot restocked %d times", r.restocks)
 	}
 	if r.Cargo() != -1 {
 		t.Fatalf("unlimited cargo = %d, want -1", r.Cargo())

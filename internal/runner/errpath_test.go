@@ -30,7 +30,7 @@ func TestRunRecoversJobPanic(t *testing.T) {
 		}
 		return scenario.Results{Config: cfg}, nil
 	})
-	jobs := Expand(tinyConfig(core.Dynamic, 0), Seeds(4))
+	jobs := seedJobs(tinyConfig(core.Dynamic, 0), 4)
 	results, stats, err := Run(jobs, Options{Procs: 2})
 	if err == nil {
 		t.Fatal("expected the panicking job's error")
@@ -58,7 +58,7 @@ func TestRunJoinedErrorsInInputOrder(t *testing.T) {
 		}
 		return scenario.Results{Config: cfg}, nil
 	})
-	jobs := Expand(tinyConfig(core.Fixed, 0), Seeds(6))
+	jobs := seedJobs(tinyConfig(core.Fixed, 0), 6)
 	results, stats, err := Run(jobs, Options{Procs: 3})
 	if err == nil {
 		t.Fatal("expected errors")
@@ -94,7 +94,7 @@ func TestProgressUnderSingleWorker(t *testing.T) {
 		}
 		return scenario.Results{Config: cfg}, nil
 	})
-	jobs := Expand(tinyConfig(core.Centralized, 0), Seeds(5))
+	jobs := seedJobs(tinyConfig(core.Centralized, 0), 5)
 	var snaps []Progress
 	_, _, err := Run(jobs, Options{
 		Procs:    1,

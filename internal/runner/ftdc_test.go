@@ -28,7 +28,7 @@ func withRunWorld(t *testing.T, fn func(*scenario.World) scenario.Results) {
 // unarmed grid.
 func TestFTDCCleanGridLeavesNoDumps(t *testing.T) {
 	dir := t.TempDir()
-	jobs := Expand(tinyConfig(core.Dynamic, 0), Seeds(2))
+	jobs := seedJobs(tinyConfig(core.Dynamic, 0), 2)
 	plain, _, err := Run(jobs, Options{Procs: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestFTDCDumpOnPanic(t *testing.T) {
 		return w.Run()
 	})
 	dir := t.TempDir()
-	jobs := Expand(tinyConfig(core.Dynamic, 0), Seeds(3))
+	jobs := seedJobs(tinyConfig(core.Dynamic, 0), 3)
 	results, stats, err := Run(jobs, Options{Procs: 1, FTDCDir: dir})
 	if err == nil {
 		t.Fatal("expected the panicking job's error")
@@ -112,7 +112,7 @@ func TestFTDCDumpOnViolation(t *testing.T) {
 		return res
 	})
 	dir := t.TempDir()
-	jobs := Expand(tinyConfig(core.Fixed, 0), Seeds(2))
+	jobs := seedJobs(tinyConfig(core.Fixed, 0), 2)
 	_, stats, err := Run(jobs, Options{Procs: 1, FTDCDir: dir})
 	if err != nil {
 		t.Fatal(err) // violations are data, not run errors

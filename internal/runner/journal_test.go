@@ -204,7 +204,7 @@ func TestStatsSurfacePanics(t *testing.T) {
 		}
 		return scenario.Results{Config: cfg}, nil
 	})
-	jobs := Expand(tinyConfig(core.Dynamic, 0), Seeds(4))
+	jobs := seedJobs(tinyConfig(core.Dynamic, 0), 4)
 	_, stats, err := Run(jobs, Options{Procs: 2})
 	if err == nil {
 		t.Fatal("expected joined error")

@@ -9,7 +9,7 @@ import (
 )
 
 func TestRunReportsProgress(t *testing.T) {
-	jobs := Expand(tinyConfig(core.Dynamic, 0), Seeds(4))
+	jobs := seedJobs(tinyConfig(core.Dynamic, 0), 4)
 	var snaps []Progress
 	_, stats, err := Run(jobs, Options{Procs: 2, Progress: func(p Progress) {
 		snaps = append(snaps, p) // serialized by the engine
@@ -56,7 +56,7 @@ func TestRunReportsProgress(t *testing.T) {
 }
 
 func TestProgressRateLimitKeepsFinalRow(t *testing.T) {
-	jobs := Expand(tinyConfig(core.Dynamic, 0), Seeds(3))
+	jobs := seedJobs(tinyConfig(core.Dynamic, 0), 3)
 	var snaps []Progress
 	// An interval far longer than the grid suppresses the intermediate
 	// rows but must never suppress the terminal one.

@@ -404,27 +404,3 @@ func Run(jobs []Job, opts Options) ([]Result, Stats, error) {
 	}
 	return results, stats, errors.Join(errs...)
 }
-
-// Seeds returns the conventional seed list 1..n.
-func Seeds(n int) []int64 {
-	if n < 1 {
-		n = 1
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(i + 1)
-	}
-	return out
-}
-
-// Expand crosses a base configuration with a seed list: one job per seed,
-// in seed order, with the seed as the Tag.
-func Expand(base scenario.Config, seeds []int64) []Job {
-	jobs := make([]Job, 0, len(seeds))
-	for _, seed := range seeds {
-		cfg := base
-		cfg.Seed = seed
-		jobs = append(jobs, Job{Config: cfg, Tag: seed})
-	}
-	return jobs
-}

@@ -12,6 +12,18 @@ import (
 
 // tinyConfig keeps test runs fast: a 4-robot field over a short horizon
 // still exercises failures, reports, floods, and repairs.
+// seedJobs crosses a base configuration with seeds 1..n: one job per
+// seed, in seed order, with the seed as the Tag.
+func seedJobs(base scenario.Config, n int) []Job {
+	jobs := make([]Job, 0, n)
+	for seed := int64(1); seed <= int64(n); seed++ {
+		cfg := base
+		cfg.Seed = seed
+		jobs = append(jobs, Job{Config: cfg, Tag: seed})
+	}
+	return jobs
+}
+
 func tinyConfig(alg core.Algorithm, seed int64) scenario.Config {
 	cfg := scenario.DefaultConfig()
 	cfg.Algorithm = alg
@@ -86,7 +98,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestRunReportsStats(t *testing.T) {
-	jobs := Expand(tinyConfig(core.Dynamic, 0), Seeds(3))
+	jobs := seedJobs(tinyConfig(core.Dynamic, 0), 3)
 	results, stats, err := Run(jobs, Options{Procs: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +114,7 @@ func TestRunReportsStats(t *testing.T) {
 	}
 	for i, r := range results {
 		if r.Job.Config.Seed != int64(i+1) {
-			t.Fatalf("Expand seed order broken: job %d has seed %d", i, r.Job.Config.Seed)
+			t.Fatalf("seed order broken: job %d has seed %d", i, r.Job.Config.Seed)
 		}
 	}
 }
@@ -146,7 +158,7 @@ func TestRunJoinsAllErrorsWithoutAborting(t *testing.T) {
 }
 
 func TestRunOnResultSeesEveryJob(t *testing.T) {
-	jobs := Expand(tinyConfig(core.Dynamic, 0), Seeds(4))
+	jobs := seedJobs(tinyConfig(core.Dynamic, 0), 4)
 	seen := make(map[int]bool)
 	_, _, err := Run(jobs, Options{Procs: 3, OnResult: func(r Result) {
 		seen[r.Index] = true // serialized by the engine
@@ -156,18 +168,5 @@ func TestRunOnResultSeesEveryJob(t *testing.T) {
 	}
 	if len(seen) != len(jobs) {
 		t.Fatalf("OnResult saw %d of %d jobs", len(seen), len(jobs))
-	}
-}
-
-func TestSeedsAndExpand(t *testing.T) {
-	if s := Seeds(0); len(s) != 1 || s[0] != 1 {
-		t.Fatalf("Seeds(0) = %v", s)
-	}
-	jobs := Expand(tinyConfig(core.Dynamic, 0), []int64{5, 9})
-	if len(jobs) != 2 || jobs[0].Config.Seed != 5 || jobs[1].Config.Seed != 9 {
-		t.Fatalf("Expand jobs = %+v", jobs)
-	}
-	if tag, ok := jobs[1].Tag.(int64); !ok || tag != 9 {
-		t.Fatalf("Expand tag = %v", jobs[1].Tag)
 	}
 }

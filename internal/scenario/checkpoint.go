@@ -214,16 +214,6 @@ func (w *World) RunCheckpointed(opts CheckpointOptions) (Results, error) {
 	return w.Run(), nil
 }
 
-// RunCheckpointed is the one-call entry point: build a world from cfg and
-// run it with periodic snapshots.
-func RunCheckpointed(cfg Config, opts CheckpointOptions) (Results, error) {
-	w, err := New(cfg)
-	if err != nil {
-		return Results{}, err
-	}
-	return w.RunCheckpointed(opts)
-}
-
 // NearestSnapshot deterministically re-runs cfg and returns the latest
 // snapshot taken strictly before at, on an every-spaced grid starting at
 // t=0. Debugging workflow: a violation or anomaly detected at time at can
@@ -298,7 +288,10 @@ func RestoreOpts(snap *checkpoint.Snapshot, opts RestoreOptions) (*World, error)
 		return nil, err
 	}
 	if opts.TailTraceCapacity != 0 && w.Trace == nil {
+		// The replay ran every event up to the snapshot time, so only the
+		// fault windows opening after it still have markers to record.
 		w.startTrace(opts.TailTraceCapacity)
+		w.armFaultMarkers(sim.Time(snap.T))
 	}
 	return w, nil
 }

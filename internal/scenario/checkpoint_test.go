@@ -9,6 +9,7 @@ import (
 	"roborepair/internal/checkpoint"
 	"roborepair/internal/core"
 	"roborepair/internal/sim"
+	"roborepair/internal/trace"
 )
 
 // ckptConfig is the differential-test base: short horizon with failures
@@ -224,5 +225,58 @@ func TestSnapshotDoesNotPerturb(t *testing.T) {
 	}
 	if !reflect.DeepEqual(wB.Trace.Events(), wA.Trace.Events()) {
 		t.Error("snapshots perturbed the trace")
+	}
+}
+
+// TestTailTraceRecordsLaterFaultWindows: a world restored with a tail trace
+// records the markers of the loss bursts and blackouts that open after the
+// snapshot, exactly as the same config traced from t = 0 records them.
+func TestTailTraceRecordsLaterFaultWindows(t *testing.T) {
+	const at = 1500
+	cfg := quickConfig(core.Dynamic, 4)
+	cfg.SimTime = 4000
+	plan, err := chaos.Parse("burst@1000-1100=0.2;blackout@3000-3200=100,100,80;burst@3500-3600=0.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = plan
+
+	faultsAfter := func(l *trace.Log) []trace.Event {
+		var out []trace.Event
+		for _, e := range l.Events() {
+			if e.Kind == trace.KindFault && e.At > at {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	traced := cfg
+	traced.TraceCapacity = -1
+	wFull, err := New(traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wFull.Run()
+	want := faultsAfter(wFull.Trace)
+	if len(want) != 2 {
+		t.Fatalf("traced run recorded %d fault markers after t=%d, want 2: %v", len(want), at, want)
+	}
+
+	w, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Sched.Run(at)
+	snap, err := w.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreOpts(snap, RestoreOptions{TailTraceCapacity: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored.Run()
+	if got := faultsAfter(restored.Trace); !reflect.DeepEqual(got, want) {
+		t.Fatalf("tail trace fault markers = %v, want %v", got, want)
 	}
 }

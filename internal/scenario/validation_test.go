@@ -103,7 +103,10 @@ func TestValidationRepairDelayWithinQueueModel(t *testing.T) {
 	// Service times are roughly Rayleigh-like: Var ≈ (0.5·mean)².
 	serviceVar := 0.25 * meanService * meanService
 	detection := cfg.BeaconPeriod * float64(cfg.MissedBeacons) / 2
-	want := analysis.ExpectedRepairDelay(lambda, meanService, serviceVar, detection)
+	// Mean failure→replacement delay of one robot's M/G/1 repair queue:
+	// detection (half the guardian window on average) + queue wait + own
+	// travel.
+	want := detection + analysis.MG1Wait(lambda, meanService, serviceVar) + meanService
 	got := res.AvgRepairDelay
 	// Queueing models of correlated arrivals are rough: factor-2 band.
 	if got < want/2 || got > want*2 {

@@ -467,21 +467,8 @@ func (w *World) scheduleFaults() {
 			w.Manager.FailNow()
 		})
 	}
-	// Loss bursts and blackouts act through the medium alone; their
-	// window-open markers are scheduler events of their own, armed only for
-	// the trace ring (the one observer that stores them), so every other
-	// configuration keeps its event count.
 	if w.Trace != nil {
-		for _, b := range plan.LossBursts {
-			sched.After(sim.Time(b.From).Sub(sched.Now()), func() {
-				w.mark(trace.KindFault, 0, 0, geom.Point{})
-			})
-		}
-		for _, b := range plan.Blackouts {
-			sched.After(sim.Time(b.From).Sub(sched.Now()), func() {
-				w.mark(trace.KindFault, 0, 0, b.Center)
-			})
-		}
+		w.armFaultMarkers(sim.Time(math.Inf(-1))) // every window
 	}
 	// Drain windows act on robot batteries, so they are inert — scheduling
 	// nothing at all — unless the battery layer is on: a battery-off run
@@ -504,6 +491,32 @@ func (w *World) scheduleFaults() {
 				apply(watts)
 			})
 			sched.After(sim.Time(d.To).Sub(sched.Now()), func() { apply(-watts) })
+		}
+	}
+}
+
+// armFaultMarkers schedules the window-open markers of the loss bursts and
+// blackouts that open after t. Those windows act through the medium alone;
+// their markers are scheduler events of their own, armed only for the
+// trace ring (the one observer that stores them), so every other
+// configuration keeps its event count.
+func (w *World) armFaultMarkers(t sim.Time) {
+	plan, sched := w.Cfg.Faults, w.Sched
+	if plan.Empty() {
+		return
+	}
+	for _, b := range plan.LossBursts {
+		if sim.Time(b.From) > t {
+			sched.After(sim.Time(b.From).Sub(sched.Now()), func() {
+				w.mark(trace.KindFault, 0, 0, geom.Point{})
+			})
+		}
+	}
+	for _, b := range plan.Blackouts {
+		if sim.Time(b.From) > t {
+			sched.After(sim.Time(b.From).Sub(sched.Now()), func() {
+				w.mark(trace.KindFault, 0, 0, b.Center)
+			})
 		}
 	}
 }

@@ -351,8 +351,8 @@ func TestWorldExposesStructure(t *testing.T) {
 	if len(w.Sensors) != 200 {
 		t.Fatalf("sensors = %d", len(w.Sensors))
 	}
-	if w.Partition.K() != 4 {
-		t.Fatalf("partition K = %d", w.Partition.K())
+	if len(w.Partition.Centers) != 4 {
+		t.Fatalf("partition K = %d", len(w.Partition.Centers))
 	}
 	wd, err := New(quickConfig(core.Dynamic, 4))
 	if err != nil {

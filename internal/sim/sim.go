@@ -35,9 +35,6 @@ var TimeInf = Time(math.Inf(1))
 // Seconds reports the timestamp as a plain float64 second count.
 func (t Time) Seconds() float64 { return float64(t) }
 
-// Before reports whether t is strictly earlier than u.
-func (t Time) Before(u Time) bool { return t < u }
-
 // After reports whether t is strictly later than u.
 func (t Time) After(u Time) bool { return t > u }
 

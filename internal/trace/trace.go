@@ -1,7 +1,8 @@
 // Package trace records the causal chain of every failure: injection →
 // guardian detection → report → (dispatch) → robot arrival → replacement.
 // The scenario runner feeds it from event hooks; tests use it to assert
-// end-to-end causality, and the fieldwatch example renders it for humans.
+// end-to-end causality, and cmd/tracer and repairsim -tail-trace render it
+// for humans.
 package trace
 
 import (
@@ -105,10 +106,9 @@ func (e Event) String() string {
 // Log is a bounded event recorder. A zero capacity records nothing (all
 // methods stay safe); a negative capacity records without bound.
 type Log struct {
-	cap     int
-	events  []Event
-	counts  map[Kind]int
-	dropped int
+	cap    int
+	events []Event
+	counts map[Kind]int
 }
 
 // New returns a log holding at most capacity events (FIFO eviction).
@@ -129,7 +129,6 @@ func (l *Log) Record(e Event) {
 	if l.cap > 0 && len(l.events) >= l.cap {
 		copy(l.events, l.events[1:])
 		l.events = l.events[:len(l.events)-1]
-		l.dropped++
 	}
 	l.events = append(l.events, e)
 }
@@ -140,14 +139,6 @@ func (l *Log) Len() int {
 		return 0
 	}
 	return len(l.events)
-}
-
-// Dropped reports how many events were evicted.
-func (l *Log) Dropped() int {
-	if l == nil {
-		return 0
-	}
-	return l.dropped
 }
 
 // Count reports how many events of kind k were recorded (including
@@ -166,20 +157,6 @@ func (l *Log) Events() []Event {
 	}
 	out := make([]Event, len(l.events))
 	copy(out, l.events)
-	return out
-}
-
-// Filter returns the retained events of kind k.
-func (l *Log) Filter(k Kind) []Event {
-	if l == nil {
-		return nil
-	}
-	var out []Event
-	for _, e := range l.events {
-		if e.Kind == k {
-			out = append(out, e)
-		}
-	}
 	return out
 }
 

@@ -67,7 +67,7 @@ const (
 )
 
 // enc is an append-only little-endian writer. Oversized variable-length
-// fields poison it via err, surfaced by Encode.
+// fields poison it via err, surfaced by the frame codec.
 type enc struct {
 	b   []byte
 	err error
@@ -196,8 +196,8 @@ func (d *dec) bool(sent bool) bool {
 	v := d.b[0]
 	d.b = d.b[1:]
 	if v > 1 {
-		// Reject non-canonical booleans so Encode(Decode(b)) == b holds
-		// for every accepted buffer.
+		// Reject non-canonical booleans so decoding then re-encoding
+		// reproduces every accepted buffer.
 		d.bad = true
 	}
 	if (v == 1) != sent {
@@ -299,17 +299,6 @@ func (d *dec) nested(sent any) any {
 	return msg
 }
 
-// Encode renders one wire message body into its binary layout. It returns
-// an error for values that are not wire message types.
-func Encode(msg any) ([]byte, error) {
-	e := enc{b: make([]byte, 0, bodySize(msg))}
-	e.body(msg)
-	if e.err != nil {
-		return nil, e.err
-	}
-	return e.b, nil
-}
-
 // body appends one message body — tag byte, then fields — to e.b.
 func (e *enc) body(msg any) {
 	switch m := msg.(type) {
@@ -401,8 +390,8 @@ func (e *enc) body(msg any) {
 	}
 }
 
-// bodySize is the encoded size of one message body, so Encode and
-// FrameCodec.Encode allocate their buffer once; 0 for non-wire values.
+// bodySize is the encoded size of one message body, so FrameCodec.Encode
+// allocates its buffer once; 0 for non-wire values.
 func bodySize(msg any) int {
 	switch m := msg.(type) {
 	case Beacon:
@@ -437,14 +426,6 @@ func bodySize(msg any) int {
 	return 0
 }
 
-// Decode parses one binary message body back into its Go value. It
-// rejects empty input, unknown tags, truncated bodies, and trailing
-// bytes, so for every accepted buffer Encode(Decode(b)) reproduces b.
-func Decode(b []byte) (any, error) {
-	msg, _, err := decodeBody(b, nil)
-	return msg, err
-}
-
 // reuse returns sent in place of m when sent holds a T and every field d
 // read matched it, so a reception of the sender's own bytes hands over
 // the sender's boxed value; otherwise it boxes m. Interface values are
@@ -456,8 +437,8 @@ func reuse[T any](d *dec, sent any, m T) (any, bool) {
 	return m, false
 }
 
-// decodeBody is the one body decoder: Decode, the frame codec and nested
-// envelopes all run it. sent is the value the sender encoded, or nil; when
+// decodeBody is the one body decoder: the frame codec and nested
+// envelopes both run it. sent is the value the sender encoded, or nil; when
 // the decoded value equals it field for field, the result is sent itself
 // and reused is true.
 func decodeBody(b []byte, sent any) (msg any, reused bool, err error) {

@@ -8,6 +8,25 @@ import (
 	"roborepair/internal/geom"
 )
 
+// Encode renders one wire message body into its binary layout. It returns
+// an error for values that are not wire message types.
+func Encode(msg any) ([]byte, error) {
+	e := enc{b: make([]byte, 0, bodySize(msg))}
+	e.body(msg)
+	if e.err != nil {
+		return nil, e.err
+	}
+	return e.b, nil
+}
+
+// Decode parses one binary message body back into its Go value. It
+// rejects empty input, unknown tags, truncated bodies, and trailing
+// bytes, so for every accepted buffer Encode(Decode(b)) reproduces b.
+func Decode(b []byte) (any, error) {
+	msg, _, err := decodeBody(b, nil)
+	return msg, err
+}
+
 // allMessages is one representative of every wire type, with negative
 // IDs (broadcast), fractional coordinates, and large sequence numbers to
 // exercise the full field widths.
