@@ -31,15 +31,15 @@ bench:
 # per-sensor footprint, the paper-density field (10k sensors, 200
 # robots), plus the kernel, radio (ideal and contended), wire-codec and
 # sensor steady-state microbenches, and writes the parsed metrics to
-# BENCH_PR25.json.
+# BENCH_PR28.json.
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput$$|BenchmarkSimulatorThroughputFTDC|BenchmarkWorldBuild|BenchmarkFieldFootprint|BenchmarkPaperDensityField' -benchmem -benchtime 3x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkSchedulerHotLoop$$|BenchmarkSchedulerChurn' -benchmem ./internal/sim ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkNeighborsDense|BenchmarkMediumBroadcast$$|BenchmarkContendedSend' -benchmem ./internal/radio ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFrameBroadcast' -benchmem ./internal/wire ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkSensorSteadyState' -benchmem ./internal/node ; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_PR25.json
-	@echo "wrote BENCH_PR25.json"
+	| $(GO) run ./cmd/benchjson -o BENCH_PR28.json
+	@echo "wrote BENCH_PR28.json"
 
 # Fast allocation check on the hot-path benchmarks only (seconds, not
 # minutes): scheduler churn, medium broadcast, a codec broadcast, a
@@ -62,9 +62,9 @@ bench-smoke:
 		-ceiling 'BenchmarkSimulatorThroughputTelemetry=allocs/op<=34267' \
 		-ceiling 'BenchmarkSimulatorThroughputInvariants=allocs/op<=35064' \
 		-ceiling 'BenchmarkWorldBuild=allocs/op<=100200' \
-		-ceiling 'BenchmarkWorldBuild=B/op<=10491000' \
-		-ceiling 'BenchmarkFieldFootprint=live-B/sensor<=1291' \
-		-ceiling 'BenchmarkPaperDensityField=live-B/sensor<=1793' \
+		-ceiling 'BenchmarkWorldBuild=B/op<=10159434' \
+		-ceiling 'BenchmarkFieldFootprint=live-B/sensor<=1125' \
+		-ceiling 'BenchmarkPaperDensityField=live-B/sensor<=1659' \
 		-ceiling 'BenchmarkPaperDensityField=allocs/sim-s<=1486' \
 		-ceiling 'BenchmarkSensorSteadyState=allocs/op<=0' \
 		-ceiling 'BenchmarkSchedulerChurn=allocs/op<=0' \

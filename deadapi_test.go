@@ -27,8 +27,10 @@ import (
 // counts as referenced by any selector .Name in any non-test file, so a
 // method reached through an interface call is live; one reached only
 // from outside the repository (encoding/json calling MarshalJSON) is
-// not, and belongs on the allowlist. A call of a function from its own
-// body (recursion) does not count.
+// not, and belongs on the allowlist. A reference from the declaration's
+// own body does not count: neither a function calling itself
+// (recursion) nor a method calling a same-named method (delegation, as
+// in s.r.Perm inside Perm).
 
 const (
 	modulePath = "roborepair"
@@ -58,10 +60,9 @@ func unreferenced(module string, files []goFile) (dead []string, declared map[st
 	}
 
 	// Reference sets. A reference remembers the function whose body makes
-	// it, so recursion does not keep a function alive; one made from two
+	// it, so neither recursion nor a method delegating to a same-named
+	// method (c.src.Int63()) keeps a declaration alive; one made from two
 	// places, or outside any function, keeps every declaration of its key.
-	// Methods are matched by name alone, so a method delegating to a
-	// same-named method of a field (c.src.Int63()) keeps itself live.
 	refFrom := map[string]*ast.FuncDecl{}
 	refShared := map[string]bool{}
 	for _, gf := range src {
@@ -120,7 +121,7 @@ func unreferenced(module string, files []goFile) (dead []string, declared map[st
 			}
 			key := gf.dir + " " + name
 			declared[key] = true
-			if from, ok := refFrom[refKey]; !ok || (fd.Recv == nil && from == fd && !refShared[refKey]) {
+			if from, ok := refFrom[refKey]; !ok || (from == fd && !refShared[refKey]) {
 				dead = append(dead, key)
 			}
 		}
@@ -293,6 +294,8 @@ type T struct{}
 func (T) M()                           {} // reached only through I
 func (T) MarshalJSON() ([]byte, error) { return nil, nil } // reached only by reflection
 func (*T) Unused()                     {}
+func (t *T) Delegate()                 { t.inner().Delegate() } // only its own body names it
+func (t *T) inner() *T                 { return t }
 
 func Call(i I)     { i.M() }
 func Dead()        {}
@@ -325,6 +328,7 @@ func main() { alias.Call(alias.T{}); alias.Used() }
 	want := []string{
 		"internal/a Dead",
 		"internal/a Rec",
+		"internal/a T.Delegate",
 		"internal/a T.MarshalJSON",
 		"internal/a T.Unused",
 		"internal/a TestOnly",
@@ -342,7 +346,7 @@ internal/a Gone           stale: not declared
 		t.Fatal(err)
 	}
 	unlisted, stale := checkAllow(dead, declared, allow)
-	if want := []string{"internal/a Dead", "internal/a Rec", "internal/a T.Unused", "internal/a TestOnly"}; fmt.Sprint(unlisted) != fmt.Sprint(want) {
+	if want := []string{"internal/a Dead", "internal/a Rec", "internal/a T.Delegate", "internal/a T.Unused", "internal/a TestOnly"}; fmt.Sprint(unlisted) != fmt.Sprint(want) {
 		t.Errorf("unlisted = %q, want %q", unlisted, want)
 	}
 	if len(stale) != 2 || !strings.Contains(stale[0], "Used is referenced") || !strings.Contains(stale[1], "Gone is not declared") {

@@ -18,10 +18,11 @@ func nb(id radio.NodeID, x, y float64) netstack.Neighbor {
 // viewOf returns a table-backed view of the neighbors, ascending by ID.
 func viewOf(list []netstack.Neighbor) netstack.NeighborView {
 	var tb netstack.NeighborTable
+	var none netstack.Statics // no medium: every entry located
 	for _, n := range list {
-		tb.Upsert(n.ID, n.Loc, n.LastHeard)
+		tb.Upsert(none, n.ID, n.Loc, n.LastHeard)
 	}
-	return tb.View()
+	return tb.View(none)
 }
 
 func TestSelectRelaysEmpty(t *testing.T) {

@@ -46,9 +46,10 @@ func newCoreRig() *coreRig {
 }
 
 func (g *coreRig) sensor(id radio.NodeID, pos geom.Point, p node.Policy) *node.Sensor {
-	s := node.NewSensor(id, pos, &node.Config{
-		Range: 63, BeaconPeriod: 10, MissedBeacons: 3, SettleDelay: 5, FloodTTL: FloodTTL,
-	}, p, g.medium, &node.Hooks{})
+	s := node.NewSensor(id, pos, &node.Env{
+		Config: node.Config{Range: 63, BeaconPeriod: 10, MissedBeacons: 3, SettleDelay: 5, FloodTTL: FloodTTL},
+		Policy: p, Hooks: &node.Hooks{}, Medium: g.medium,
+	})
 	s.Start(0.1, 1, false)
 	return s
 }

@@ -20,20 +20,6 @@ type NeighborSource interface {
 	RoutingNeighbors() NeighborView
 }
 
-// TableSource adapts a beacon-built NeighborTable as a NeighborSource —
-// how sensors pick next hops.
-type TableSource struct {
-	Table *NeighborTable
-}
-
-// RoutingNeighbors implements NeighborSource with a read-only view of the
-// table (NeighborTable.View): no copy is made. The router reads it only
-// before the hop's transmit, which is the first point where a synchronous
-// delivery could mutate the table.
-func (s TableSource) RoutingNeighbors() NeighborView { return s.Table.View() }
-
-var _ NeighborSource = TableSource{}
-
 // MediumSource derives next hops from ground-truth radio range. Robots and
 // the central manager use it: their 250 m transmissions reach any station
 // within range, and the HELLO/reply discovery that would populate their

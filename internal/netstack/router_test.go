@@ -21,6 +21,8 @@ type testNode struct {
 	dead   bool
 	router *Router
 	table  *NeighborTable
+	// statics binds the table to the node's static set.
+	statics Statics
 
 	delivered []Packet
 	drops     []DropReason
@@ -50,6 +52,16 @@ var (
 	_ Host          = (*testNode)(nil)
 )
 
+// TableSource adapts a beacon-built NeighborTable as a NeighborSource, as
+// a sensor is its own (node.Sensor.RoutingNeighbors): a read-only view of
+// the table, no copy.
+type TableSource struct {
+	Table   *NeighborTable
+	Statics Statics
+}
+
+func (s TableSource) RoutingNeighbors() NeighborView { return s.Table.View(s.Statics) }
+
 // testNet wires nodes, medium, and routers together.
 type testNet struct {
 	medium *radio.Medium
@@ -70,13 +82,12 @@ func newTestNet() *testNet {
 }
 
 func (tn *testNet) add(id radio.NodeID, pos geom.Point, r float64) *testNode {
-	table := NewNeighborTable(tn.medium)
-	n := &testNode{id: id, pos: pos, rng: r, table: &table}
+	n := &testNode{id: id, pos: pos, rng: r, table: &NeighborTable{}, statics: Statics{Medium: tn.medium, Owner: id}}
 	n.router = &Router{
 		ID:     id,
 		Host:   n,
 		Medium: tn.medium,
-		Source: TableSource{Table: n.table},
+		Source: TableSource{Table: n.table, Statics: n.statics},
 	}
 	tn.nodes[id] = n
 	tn.medium.Attach(n)
@@ -92,7 +103,7 @@ func (tn *testNet) fillTables() {
 				continue
 			}
 			if a.pos.Dist(b.pos) <= a.rng {
-				a.table.Upsert(b.id, b.pos, 0)
+				a.table.Upsert(a.statics, b.id, b.pos, 0)
 			}
 		}
 	}
@@ -289,7 +300,7 @@ func TestDeadRelayIsSkipped(t *testing.T) {
 		t.Fatal("frame to dead relay should be lost (stale table)")
 	}
 	for _, n := range tn.nodes {
-		n.table.Remove(3)
+		n.table.Remove(n.statics, 3)
 	}
 	src.router.Originate(Packet{Dst: dst.id, DstLoc: dst.pos, Category: "t"})
 	if len(dst.delivered) != 1 {
@@ -380,7 +391,7 @@ func TestRoutingLeavesTableUnchanged(t *testing.T) {
 	tn.fillTables()
 	before := make(map[radio.NodeID][]Neighbor, n)
 	for id, node := range tn.nodes {
-		before[id] = slices.Clone(node.table.AppendAll(nil))
+		before[id] = slices.Clone(node.table.AppendAll(node.statics, nil))
 	}
 	delivered := 0
 	for a := radio.NodeID(1); a <= n; a++ {
@@ -395,8 +406,8 @@ func TestRoutingLeavesTableUnchanged(t *testing.T) {
 		}
 	}
 	for id, node := range tn.nodes {
-		if !slices.Equal(node.table.AppendAll(nil), before[id]) {
-			t.Fatalf("n%d's table changed by routing:\n got %v\nwant %v", id, node.table.AppendAll(nil), before[id])
+		if !slices.Equal(node.table.AppendAll(node.statics, nil), before[id]) {
+			t.Fatalf("n%d's table changed by routing:\n got %v\nwant %v", id, node.table.AppendAll(node.statics, nil), before[id])
 		}
 	}
 	if delivered == 0 {

@@ -3,9 +3,9 @@ package netstack
 import "roborepair/internal/checkpoint"
 
 // AppendState serializes the table's entries in ascending ID order
-// (checkpoint section payload).
-func (t *NeighborTable) AppendState(b []byte) []byte {
-	v := t.View()
+// (checkpoint section payload); st is the table's Statics.
+func (t *NeighborTable) AppendState(st Statics, b []byte) []byte {
+	v := t.View(st)
 	b = checkpoint.AppendU32(b, uint32(v.Len()))
 	it := v.Iter()
 	for n, ok := it.Next(); ok; n, ok = it.Next() {

@@ -23,11 +23,11 @@ import (
 func TestSensorStateForeignLocations(t *testing.T) {
 	h := newHarness()
 	cfg := testConfig()
-	s := NewSensor(1, geom.Pt(0, 0), &cfg, allowAll{}, h.medium, &Hooks{})
+	s := NewSensor(1, geom.Pt(0, 0), &Env{Config: cfg, Policy: allowAll{}, Hooks: &Hooks{}, Medium: h.medium})
 	s.Start(0.1, 1, false)
-	peer := NewSensor(2, geom.Pt(30, 0), &cfg, allowAll{}, h.medium, &Hooks{})
+	peer := NewSensor(2, geom.Pt(30, 0), &Env{Config: cfg, Policy: allowAll{}, Hooks: &Hooks{}, Medium: h.medium})
 	peer.Start(0.1, 1.5, false)
-	edge := NewSensor(3, geom.Pt(0, 20), &cfg, allowAll{}, h.medium, &Hooks{})
+	edge := NewSensor(3, geom.Pt(0, 20), &Env{Config: cfg, Policy: allowAll{}, Hooks: &Hooks{}, Medium: h.medium})
 	edge.Start(0.1, 2, false)
 	mgr := &sink{id: 90, pos: geom.Pt(40, 10), rng: 250}
 	h.medium.Attach(mgr)
@@ -48,7 +48,7 @@ func TestSensorStateForeignLocations(t *testing.T) {
 		id  radio.NodeID
 		loc geom.Point
 	}{{2, off}, {3, negZero}, {90, mgr.pos}, {77, stray}} {
-		n, ok := tableEntry(s.Table(), c.id)
+		n, ok := tableEntry(s, c.id)
 		if !ok || !same(n.Loc, c.loc) {
 			t.Errorf("entry %d = %v, %v; want heard location %v kept bit for bit", c.id, n, ok, c.loc)
 		}

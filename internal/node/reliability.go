@@ -79,7 +79,7 @@ func (s *Sensor) newPending(rep wire.FailureReport) *pendingReport {
 // number of transmissions so far: RetryBase doubled per attempt, capped at
 // RetryMax.
 func (s *Sensor) retryDelay(attempts int) sim.Duration {
-	rel := s.cfg.Reliability
+	rel := s.env.Reliability
 	d := rel.RetryBase
 	for i := 1; i < attempts; i++ {
 		d *= 2
@@ -99,7 +99,7 @@ func (s *Sensor) retryDelay(attempts int) sim.Duration {
 // location) finally clears the report — so dispatcher state lost to a
 // crash or failover cannot strand a failure.
 func (s *Sensor) verifyDelay() sim.Duration {
-	rel := s.cfg.Reliability
+	rel := s.env.Reliability
 	if rel.RetryMax > 0 {
 		return 4 * rel.RetryMax
 	}
@@ -156,13 +156,13 @@ func (s *Sensor) sendReport(p *pendingReport) {
 	if target != 0 {
 		cat := metrics.CatFailureReport
 		if p.attempts == 0 {
-			if s.hooks.OnReportSent != nil {
-				s.hooks.OnReportSent(p.rep)
+			if s.env.Hooks.OnReportSent != nil {
+				s.env.Hooks.OnReportSent(p.rep)
 			}
 		} else {
 			cat = metrics.CatReportRetx
-			if s.hooks.OnReportRetx != nil {
-				s.hooks.OnReportRetx(p.rep, p.attempts)
+			if s.env.Hooks.OnReportRetx != nil {
+				s.env.Hooks.OnReportRetx(p.rep, p.attempts)
 			}
 		}
 		p.attempts++
@@ -201,11 +201,11 @@ func (s *Sensor) resend(seq uint64) {
 		return
 	}
 	p := s.pending[i]
-	rel := s.cfg.Reliability
+	rel := s.env.Reliability
 	if rel.RetryLimit > 0 && p.attempts >= rel.RetryLimit {
 		s.pending = slices.Delete(s.pending, i, i+1)
-		if s.hooks.OnReportAbandoned != nil {
-			s.hooks.OnReportAbandoned(p.rep)
+		if s.env.Hooks.OnReportAbandoned != nil {
+			s.env.Hooks.OnReportAbandoned(p.rep)
 		}
 		return
 	}
@@ -236,7 +236,7 @@ func (s *Sensor) ackReport(seq uint64) {
 // before it escapes. Genuinely dead neighbors stay silent through the
 // grace and are reported as usual.
 func (s *Sensor) resyncPendings() {
-	grace := 2 * s.cfg.BeaconPeriod
+	grace := 2 * s.env.BeaconPeriod
 	sched := s.sched()
 	for _, p := range s.pending {
 		if p.acked {
@@ -276,8 +276,8 @@ func (s *Sensor) DeliverPacket(p netstack.Packet) {
 		return
 	}
 	if ack, ok := p.Payload.(wire.ReportAck); ok && ack.Reporter == s.id {
-		if s.hooks.OnReportAcked != nil {
-			s.hooks.OnReportAcked(ack)
+		if s.env.Hooks.OnReportAcked != nil {
+			s.env.Hooks.OnReportAcked(ack)
 		}
 		s.ackReport(ack.Seq)
 	}
@@ -304,7 +304,7 @@ func (s *Sensor) observeRepair(loc geom.Point) {
 // expireRobots drops robots unheard for RobotExpiry. A sensor whose report
 // target expired re-targets the closest surviving robot it knows.
 func (s *Sensor) expireRobots(now sim.Time) {
-	deadline := now.Sub(s.cfg.Reliability.RobotExpiry)
+	deadline := now.Sub(s.env.Reliability.RobotExpiry)
 	for i := range s.robots {
 		tr := &s.robots[i]
 		id := radio.NodeID(tr.id)
@@ -312,7 +312,7 @@ func (s *Sensor) expireRobots(now sim.Time) {
 			continue
 		}
 		*tr = robotTrack{id: tr.id, floodSeq: tr.floodSeq, flooded: tr.flooded}
-		s.table.Remove(id)
+		s.table.Remove(s.statics(), id)
 		if s.target == id {
 			s.target = 0
 		}

@@ -62,6 +62,17 @@ type Config struct {
 	Reliability Reliability
 }
 
+// Env is what every sensor of a world shares: the parameters, the
+// algorithm's policy, the observation hooks and the medium. A field holds
+// one Sensor per deployed node and one Env for all of them, so a sensor
+// pays one pointer for these.
+type Env struct {
+	Config
+	Policy Policy
+	Hooks  *Hooks
+	Medium *radio.Medium
+}
+
 // Hooks lets the experiment runner observe sensor-level events without
 // coupling the node to the scenario package.
 type Hooks struct {
@@ -111,21 +122,19 @@ func trackable(id radio.NodeID) bool { return id >= 0 && id <= math.MaxInt32 }
 // Sensor is one static sensor node.
 //
 // A field holds one Sensor per deployed node, so the struct keeps only
-// per-node state: the world-wide Config and Hooks are shared through
-// pointers, the neighbor table is held inline and holds the medium (the
-// sensor reaches it, and the scheduler, through the table), flood
-// duplicate suppression lives in the robot tracks, the beacon timer is
-// one event the sensor re-arms itself, and the router is built on demand
-// from fields the sensor already has.
+// per-node state: what every sensor of the world shares (the Config, the
+// policy, the hooks and the medium) sits behind one Env pointer, the
+// neighbor table is held inline and keeps no IDs of its static peers (the
+// medium's static set has them), flood duplicate suppression lives in the
+// robot tracks, the beacon timer is one event the sensor re-arms itself,
+// and the router is built on demand from fields the sensor already has.
 type Sensor struct {
-	id     radio.NodeID
-	pos    geom.Point
-	cfg    *Config // shared by the world's sensors; never written
-	policy Policy
-	hooks  *Hooks // shared by the world's sensors
+	id  radio.NodeID
+	pos geom.Point
+	env *Env // shared by the world's sensors; never written
 
 	alive bool
-	table netstack.NeighborTable // bound to the sensor's medium
+	table netstack.NeighborTable // used with s.statics()
 	// beat is the pending beacon tick; fire is s.beatTick, bound once so
 	// re-arming allocates nothing.
 	beat sim.Event
@@ -153,29 +162,32 @@ type Sensor struct {
 }
 
 var (
-	_ radio.Station = (*Sensor)(nil)
-	_ netstack.Host = (*Sensor)(nil)
+	_ radio.Station           = (*Sensor)(nil)
+	_ netstack.Host           = (*Sensor)(nil)
+	_ netstack.NeighborSource = (*Sensor)(nil)
 )
 
-// NewSensor constructs a sensor; call Start to boot it. cfg and hooks are
-// shared, not copied: the caller must not change a Config once a sensor
-// holds it (build a new one instead), and one Config and Hooks may serve
-// every sensor of a field.
-func NewSensor(id radio.NodeID, pos geom.Point, cfg *Config, policy Policy, medium *radio.Medium, hooks *Hooks) *Sensor {
+// NewSensor constructs a sensor; call Start to boot it. env is shared, not
+// copied: the caller must not change an Env once a sensor holds it (build
+// a new one instead), and one Env may serve every sensor of a field.
+func NewSensor(id radio.NodeID, pos geom.Point, env *Env) *Sensor {
 	return &Sensor{
 		id:      id,
 		pos:     pos,
-		cfg:     cfg,
-		policy:  policy,
-		hooks:   hooks,
-		table:   netstack.NewNeighborTable(medium),
+		env:     env,
 		alive:   true,
-		manager: cfg.Reliability.Manager,
+		manager: env.Reliability.Manager,
 	}
 }
 
 // medium returns the radio medium the sensor is attached to.
-func (s *Sensor) medium() *radio.Medium { return s.table.Medium() }
+func (s *Sensor) medium() *radio.Medium { return s.env.Medium }
+
+// statics returns what the sensor's table is used with: the medium and
+// the sensor's own static set in it.
+func (s *Sensor) statics() netstack.Statics {
+	return netstack.Statics{Medium: s.env.Medium, Owner: s.id}
+}
 
 // sched returns the scheduler driving the sensor's medium.
 func (s *Sensor) sched() *sim.Scheduler { return s.medium().Scheduler() }
@@ -187,15 +199,22 @@ func (s *Sensor) router() netstack.Router {
 		ID:     s.id,
 		Host:   s,
 		Medium: s.medium(),
-		Source: netstack.TableSource{Table: &s.table},
+		Source: s,
 	}
 }
+
+// RoutingNeighbors implements netstack.NeighborSource with a read-only
+// view of the sensor's table: no copy is made. The router reads it only
+// before the hop's transmit, which is the first point where a synchronous
+// delivery could mutate the table. The sensor is its own source so that
+// building a router boxes nothing.
+func (s *Sensor) RoutingNeighbors() netstack.NeighborView { return s.table.View(s.statics()) }
 
 // inRange reports whether loc is within the sensor's range, by the test
 // the radio applies to a delivery (squared distances): a peer the radio
 // delivers to is a peer the table accepts.
 func (s *Sensor) inRange(loc geom.Point) bool {
-	return s.pos.Dist2(loc) <= s.cfg.Range*s.cfg.Range
+	return s.pos.Dist2(loc) <= s.env.Range*s.env.Range
 }
 
 // beaconPayload returns the sensor's boxed beacon, boxing it on first use.
@@ -214,7 +233,7 @@ func (s *Sensor) Pos() geom.Point { return s.pos }
 
 // Config returns the configuration the sensor was built with. It is shared
 // with other sensors and must not be modified.
-func (s *Sensor) Config() *Config { return s.cfg }
+func (s *Sensor) Config() *Config { return &s.env.Config }
 
 // Alive reports whether the sensor is operational.
 func (s *Sensor) Alive() bool { return s.alive }
@@ -295,16 +314,13 @@ func (s *Sensor) upsertGuardee(id radio.NodeID, loc geom.Point, now sim.Time) {
 // Table exposes the neighbor table (used by tests and diagnostics).
 func (s *Sensor) Table() *netstack.NeighborTable { return &s.table }
 
-// upsertNeighbor records a neighbor in the table. The first insertion
-// sizes the table's static peers once for the sensor's whole
-// neighborhood: a static sensor only ever hears the static stations of
-// its radio set at their own positions; robots, and peers heard
+// upsertNeighbor records a neighbor in the table. The table's first
+// insertion of a static peer makes its slots, one per member of the
+// sensor's static set: a static sensor only ever hears the static
+// stations of that set at their own positions; robots, and peers heard
 // elsewhere, go to the table's located list.
 func (s *Sensor) upsertNeighbor(id radio.NodeID, loc geom.Point, now sim.Time) {
-	if s.table.Cap() == 0 {
-		s.table.Reserve(s.medium().StaticDegree(s.id))
-	}
-	s.table.Upsert(id, loc, now)
+	s.table.Upsert(s.statics(), id, loc, now)
 }
 
 // ReplayRejected reports how many robot updates the StrictSeq guard
@@ -339,7 +355,7 @@ func (s *Sensor) RadioID() radio.NodeID { return s.id }
 func (s *Sensor) RadioPos() geom.Point { return s.pos }
 
 // RadioRange implements radio.Station.
-func (s *Sensor) RadioRange() float64 { return s.cfg.Range }
+func (s *Sensor) RadioRange() float64 { return s.env.Range }
 
 // RadioActive implements radio.Station.
 func (s *Sensor) RadioActive() bool { return s.alive }
@@ -377,8 +393,8 @@ func (s *Sensor) Start(announceOffset, beaconOffset sim.Duration, replacement bo
 		})
 	})
 	sched := s.sched()
-	sched.After(s.cfg.SettleDelay, s.selectGuardian)
-	if p := s.cfg.BeaconPeriod; !(p > 0) || math.IsInf(float64(p), 1) {
+	sched.After(s.env.SettleDelay, s.selectGuardian)
+	if p := s.env.BeaconPeriod; !(p > 0) || math.IsInf(float64(p), 1) {
 		// Unreachable: BeaconPeriod is validated by the scenario config.
 		panic(fmt.Sprintf("node: beacon period %v not positive and finite", p))
 	}
@@ -392,7 +408,7 @@ func (s *Sensor) Start(announceOffset, beaconOffset sim.Duration, replacement bo
 func (s *Sensor) beatTick() {
 	s.tick()
 	if s.alive {
-		s.beat = s.sched().After(s.cfg.BeaconPeriod, s.fire)
+		s.beat = s.sched().After(s.env.BeaconPeriod, s.fire)
 	}
 }
 
@@ -424,7 +440,7 @@ func (s *Sensor) tick() {
 		Payload:  s.beaconPayload(),
 	})
 
-	deadline := now.Sub(s.cfg.BeaconPeriod * sim.Duration(s.cfg.MissedBeacons))
+	deadline := now.Sub(s.env.BeaconPeriod * sim.Duration(s.env.MissedBeacons))
 
 	// Guardee liveness: a silent guardee has failed — report it. The
 	// guardee list is ID-ascending, so runs are reproducible.
@@ -439,15 +455,15 @@ func (s *Sensor) tick() {
 	}
 	s.guardees = kept
 	for _, g := range failed {
-		s.table.Remove(g.id)
-		if s.cfg.Reliability.RetryEnabled() {
+		s.table.Remove(s.statics(), g.id)
+		if s.env.Reliability.RetryEnabled() {
 			// Confirmation grace: hold the report for two beacon periods.
 			// A guardee that was merely silenced (a radio blackout lifting
 			// makes every neighbor look 1000s-dead at once) beacons within
 			// one period and cancels the false report before any traffic;
 			// a real failure is reported 2 periods later — noise against
 			// repair delays.
-			s.reportAfter(g.id, g.loc, now, 2*s.cfg.BeaconPeriod)
+			s.reportAfter(g.id, g.loc, now, 2*s.env.BeaconPeriod)
 		} else {
 			s.report(g.id, g.loc, now)
 		}
@@ -456,7 +472,7 @@ func (s *Sensor) tick() {
 	// Guardian liveness: a silent guardian is replaced, not reported
 	// (its own guardian reports it).
 	if s.guardian != 0 && s.lastGuardian < deadline {
-		s.table.Remove(s.guardian)
+		s.table.Remove(s.statics(), s.guardian)
 		s.guardian = 0
 		s.selectGuardian()
 	}
@@ -468,8 +484,8 @@ func (s *Sensor) tick() {
 	// A tick rarely finds more than a few, so they collect on the stack.
 	var buf [8]netstack.Neighbor
 	watch := buf[:0]
-	if s.cfg.Reliability.NeighborWatch {
-		it := s.table.View().Iter()
+	if s.env.Reliability.NeighborWatch {
+		it := s.table.View(s.statics()).Iter()
 		for n, ok := it.Next(); ok; n, ok = it.Next() {
 			if n.LastHeard >= deadline {
 				continue
@@ -483,7 +499,7 @@ func (s *Sensor) tick() {
 	// Purge other stale neighbors so routing never picks a dead relay.
 	// Robots are exempt: they beacon on their own schedule (location
 	// updates), and purging them would orphan the last-hop delivery.
-	s.table.Purge(deadline, func(n netstack.Neighbor) (netstack.Neighbor, bool) {
+	s.table.Purge(s.statics(), deadline, func(n netstack.Neighbor) (netstack.Neighbor, bool) {
 		tr := s.robotAt(n.ID)
 		if tr == nil || !s.inRange(tr.loc) {
 			return n, false
@@ -492,11 +508,11 @@ func (s *Sensor) tick() {
 		return n, true
 	})
 	for _, n := range watch {
-		s.reportAfter(n.ID, n.Loc, now, s.cfg.Reliability.WatchGrace)
+		s.reportAfter(n.ID, n.Loc, now, s.env.Reliability.WatchGrace)
 	}
 
 	// Expire dead robots so reports chase survivors, not ghosts.
-	if s.cfg.Reliability.RobotExpiry > 0 {
+	if s.env.Reliability.RobotExpiry > 0 {
 		s.expireRobots(now)
 	}
 }
@@ -509,9 +525,9 @@ func (s *Sensor) selectGuardian() {
 	}
 	var chosen netstack.Neighbor
 	found := false
-	it := s.table.View().Iter()
+	it := s.table.View(s.statics()).Iter()
 	for n, ok := it.Next(); ok; n, ok = it.Next() {
-		if s.robotAt(n.ID) != nil || !s.policy.GuardianOK(s.pos, n.Loc) {
+		if s.robotAt(n.ID) != nil || !s.env.Policy.GuardianOK(s.pos, n.Loc) {
 			continue
 		}
 		if !found || n.Loc.Dist2(s.pos) < chosen.Loc.Dist2(s.pos) {
@@ -536,7 +552,7 @@ func (s *Sensor) selectGuardian() {
 // with capped exponential backoff until acked or observed repaired.
 func (s *Sensor) report(failed radio.NodeID, loc geom.Point, now sim.Time) {
 	rep := wire.FailureReport{Failed: failed, Loc: loc, Reporter: s.id, DetectedAt: now}
-	if s.cfg.Reliability.RetryEnabled() {
+	if s.env.Reliability.RetryEnabled() {
 		s.reportSeq++
 		rep.Seq = s.reportSeq
 		rep.ReporterLoc = s.pos
@@ -546,8 +562,8 @@ func (s *Sensor) report(failed radio.NodeID, loc geom.Point, now sim.Time) {
 	if s.target == 0 {
 		return // no known manager: the failure goes unreported
 	}
-	if s.hooks.OnReportSent != nil {
-		s.hooks.OnReportSent(rep)
+	if s.env.Hooks.OnReportSent != nil {
+		s.env.Hooks.OnReportSent(rep)
 	}
 	r := s.router()
 	r.Originate(netstack.Packet{
@@ -564,12 +580,12 @@ func (s *Sensor) HandleFrame(f radio.Frame) {
 		return
 	}
 	now := s.sched().Now()
-	if s.cfg.Reliability.RetryEnabled() {
+	if s.env.Reliability.RetryEnabled() {
 		// Deafness resync: a sensor that heard no frame at all for a full
 		// detection window was cut off (e.g. a regional radio blackout), so
 		// every silence verdict formed in the gap is suspect. Re-grant the
 		// unacked pending reports a confirmation grace before accusing.
-		deaf := s.cfg.BeaconPeriod * sim.Duration(s.cfg.MissedBeacons)
+		deaf := s.env.BeaconPeriod * sim.Duration(s.env.MissedBeacons)
 		if s.lastFrameAt > 0 && now.Sub(s.lastFrameAt) > deaf {
 			s.resyncPendings()
 		}
@@ -632,7 +648,7 @@ func (s *Sensor) noteRobot(up wire.RobotUpdate, now sim.Time) {
 		return // defensive: no station has this ID
 	}
 	tr := s.robotSlot(up.Robot)
-	if s.cfg.StrictSeq && tr.known && up.Seq < tr.seq {
+	if s.env.StrictSeq && tr.known && up.Seq < tr.seq {
 		// Hostile channel: a replayed update would roll the robot's
 		// position back. Equal Seq is an idempotent duplicate and passes.
 		s.replayRejected++
@@ -642,7 +658,7 @@ func (s *Sensor) noteRobot(up wire.RobotUpdate, now sim.Time) {
 	if s.inRange(up.Loc) {
 		s.upsertNeighbor(up.Robot, up.Loc, now)
 	} else {
-		s.table.Remove(up.Robot)
+		s.table.Remove(s.statics(), up.Robot)
 	}
 	if up.Robot == s.target {
 		s.targetLoc = up.Loc
@@ -680,7 +696,7 @@ func (s *Sensor) handleFlood(m netstack.FloodMsg, now sim.Time) {
 			return
 		}
 		s.noteRobot(pl, now)
-		relay = s.policy.Consider(s, pl)
+		relay = s.env.Policy.Consider(s, pl)
 		if pl.Managing && pl.Robot != s.manager {
 			// A standing manager claim in a heartbeat: the fleet elected
 			// this robot after a takeover. Sensors that missed the one-shot
@@ -693,7 +709,7 @@ func (s *Sensor) handleFlood(m netstack.FloodMsg, now sim.Time) {
 			// thinks of ordinary robots.
 			s.SetTarget(pl.Robot, pl.Loc)
 			relay = true
-		} else if !relay && s.cfg.Reliability.OrphanAdopt && s.target == 0 {
+		} else if !relay && s.env.Reliability.OrphanAdopt && s.target == 0 {
 			// Orphaned sensor: adopt the closest robot it knows even when
 			// the policy declines (fixed's cross-subarea fallback), and
 			// relay so the flood sweeps the whole orphaned cell.
@@ -718,8 +734,8 @@ func (s *Sensor) handleFlood(m netstack.FloodMsg, now sim.Time) {
 		return // not a designated forwarder under efficient broadcast
 	}
 	var relays []radio.NodeID
-	if s.cfg.EfficientBroadcast {
-		relays = broadcastopt.SelectRelays(s.pos, s.table.View(), broadcastopt.DefaultSectors)
+	if s.env.EfficientBroadcast {
+		relays = broadcastopt.SelectRelays(s.pos, s.table.View(s.statics()), broadcastopt.DefaultSectors)
 	}
 	s.medium().Send(radio.Frame{
 		Src:      s.id,

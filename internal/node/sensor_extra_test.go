@@ -19,7 +19,7 @@ func efficientConfig() Config {
 }
 
 func (h *harness) addSensorCfg(id radio.NodeID, pos geom.Point, cfg Config, policy Policy) *Sensor {
-	s := NewSensor(id, pos, &cfg, policy, h.medium, &Hooks{})
+	s := NewSensor(id, pos, &Env{Config: cfg, Policy: policy, Hooks: &Hooks{}, Medium: h.medium})
 	h.sensors = append(h.sensors, s)
 	s.Start(0.1, 1, false)
 	return s
@@ -170,18 +170,17 @@ var sensorSink *Sensor
 
 // TestNewSensorAllocatesOnlyItself pins a sensor's construction footprint:
 // with reliability off or on, NewSensor makes one allocation, the Sensor
-// itself. The Config and Hooks are shared, the table is held inline, and
-// the beacon box, table storage and pending reports are made on first use.
+// itself. The Env is shared, the table is held inline, and the beacon box,
+// table storage and pending reports are made on first use.
 func TestNewSensorAllocatesOnlyItself(t *testing.T) {
 	h := newHarness()
-	hooks := &Hooks{}
-	plain := testConfig()
-	reliable := testConfig()
+	plain := &Env{Config: testConfig(), Policy: allowAll{}, Hooks: &Hooks{}, Medium: h.medium}
+	reliable := &Env{Config: testConfig(), Policy: allowAll{}, Hooks: &Hooks{}, Medium: h.medium}
 	reliable.Reliability = Reliability{RetryBase: 5, RobotExpiry: 100, NeighborWatch: true, WatchGrace: 10}
-	for name, cfg := range map[string]*Config{"paper": &plain, "reliable": &reliable} {
+	for name, env := range map[string]*Env{"paper": plain, "reliable": reliable} {
 		id := radio.NodeID(1)
 		allocs := testing.AllocsPerRun(100, func() {
-			sensorSink = NewSensor(id, geom.Pt(10, 10), cfg, allowAll{}, h.medium, hooks)
+			sensorSink = NewSensor(id, geom.Pt(10, 10), env)
 			id++
 		})
 		if allocs != 1 {
@@ -190,11 +189,32 @@ func TestNewSensorAllocatesOnlyItself(t *testing.T) {
 	}
 }
 
-// TestSensorSizeClass pins the Sensor struct to the runtime's 288 B size
+// TestSensorSizeClass pins the Sensor struct to the runtime's 256 B size
 // class: a field holds one Sensor per deployed node.
 func TestSensorSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(Sensor{}); got > 288 {
-		t.Fatalf("Sensor is %d B, want <= 288", got)
+	if got := unsafe.Sizeof(Sensor{}); got > 256 {
+		t.Fatalf("Sensor is %d B, want <= 256", got)
+	}
+}
+
+// TestRouterBoxesNothing pins that building a sensor's router per packet
+// and reading its next hops allocate nothing: the sensor is its own
+// NeighborSource, so the router's Source is a pointer, never a boxed
+// adapter.
+func TestRouterBoxesNothing(t *testing.T) {
+	h := newHarness()
+	s := h.addSensor(1, geom.Pt(0, 0), allowAll{}, Hooks{})
+	h.addSensor(2, geom.Pt(30, 0), allowAll{}, Hooks{})
+	h.sched.Run(12)
+	seen := 0
+	if a := testing.AllocsPerRun(100, func() {
+		r := s.router()
+		seen += r.Source.RoutingNeighbors().Len()
+	}); a != 0 {
+		t.Fatalf("router and its neighbor view: %v allocs, want 0", a)
+	}
+	if seen == 0 {
+		t.Fatal("the router saw no neighbors")
 	}
 }
 

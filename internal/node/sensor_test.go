@@ -82,7 +82,7 @@ func newHarness() *harness {
 // addSensor creates and boots a sensor at pos with the given policy.
 func (h *harness) addSensor(id radio.NodeID, pos geom.Point, policy Policy, hooks Hooks) *Sensor {
 	cfg := testConfig()
-	s := NewSensor(id, pos, &cfg, policy, h.medium, &hooks)
+	s := NewSensor(id, pos, &Env{Config: cfg, Policy: policy, Hooks: &hooks, Medium: h.medium})
 	h.sensors = append(h.sensors, s)
 	s.Start(0.1, 1, false)
 	return s
@@ -94,13 +94,13 @@ func TestBootAnnouncePopulatesNeighborTables(t *testing.T) {
 	b := h.addSensor(2, geom.Pt(40, 0), allowAll{}, Hooks{})
 	far := h.addSensor(3, geom.Pt(200, 0), allowAll{}, Hooks{})
 	h.sched.Run(2)
-	if _, ok := tableEntry(a.Table(), 2); !ok {
+	if _, ok := tableEntry(a, 2); !ok {
 		t.Fatal("a did not learn b from its announcement")
 	}
-	if _, ok := tableEntry(b.Table(), 1); !ok {
+	if _, ok := tableEntry(b, 1); !ok {
 		t.Fatal("b did not learn a")
 	}
-	if _, ok := tableEntry(far.Table(), 1); ok {
+	if _, ok := tableEntry(far, 1); ok {
 		t.Fatal("far sensor learned out-of-range node")
 	}
 }
@@ -172,7 +172,7 @@ func TestGuardianReportsFailedGuardee(t *testing.T) {
 		t.Fatalf("delivered payload wrong: %+v", robot.packets[0].Payload)
 	}
 	// Guardian removed the guardee from its table.
-	if _, ok := tableEntry(a.Table(), 2); ok {
+	if _, ok := tableEntry(a, 2); ok {
 		t.Fatal("failed guardee still in guardian's table")
 	}
 }
@@ -215,7 +215,7 @@ func TestReplacementAnnouncementTriggersBeacons(t *testing.T) {
 	before := h.reg.Tx(metrics.CatReplacement)
 	// Boot a replacement node adjacent to both.
 	cfg := testConfig()
-	r := NewSensor(50, geom.Pt(15, 0), &cfg, allowAll{}, h.medium, &Hooks{})
+	r := NewSensor(50, geom.Pt(15, 0), &Env{Config: cfg, Policy: allowAll{}, Hooks: &Hooks{}, Medium: h.medium})
 	r.Start(0, 1, true)
 	h.sched.Run(21)
 	// Announce (1) + two neighbor beacons (2) = 3 replacement transmissions.
@@ -233,12 +233,12 @@ func TestNoteRobotRangeGating(t *testing.T) {
 	h.sched.Run(2)
 	// In-range robot announce enters the neighbor table.
 	s.HandleFrame(radio.Frame{Payload: wire.RobotUpdate{Robot: 90, Loc: geom.Pt(40, 0), Seq: 1}})
-	if _, ok := tableEntry(s.Table(), 90); !ok {
+	if _, ok := tableEntry(s, 90); !ok {
 		t.Fatal("in-range robot not in table")
 	}
 	// The same robot moving out of range leaves the table but stays known.
 	s.HandleFrame(radio.Frame{Payload: wire.RobotUpdate{Robot: 90, Loc: geom.Pt(150, 0), Seq: 2}})
-	if _, ok := tableEntry(s.Table(), 90); ok {
+	if _, ok := tableEntry(s, 90); ok {
 		t.Fatal("out-of-range robot still in table")
 	}
 	if loc, ok := s.KnowsRobot(90); !ok || !loc.Eq(geom.Pt(150, 0)) {
@@ -360,9 +360,9 @@ func TestDeadSensorIsSilent(t *testing.T) {
 	}
 	// Dead sensor ignores incoming frames.
 	a.HandleFrame(radio.Frame{Payload: wire.Beacon{From: 2, Loc: b.Pos()}})
-	if _, ok := tableEntry(a.Table(), 2); ok {
+	if _, ok := tableEntry(a, 2); ok {
 		// Entry may exist from before death: confirm it is not refreshed.
-		n, _ := tableEntry(a.Table(), 2)
+		n, _ := tableEntry(a, 2)
 		if n.LastHeard >= 20 {
 			t.Fatal("dead sensor processed a frame")
 		}
@@ -379,10 +379,10 @@ func TestStaleNeighborPurgedButRobotRetained(t *testing.T) {
 	a.HandleFrame(radio.Frame{Payload: wire.RobotUpdate{Robot: 90, Loc: geom.Pt(30, 0), Seq: 1}})
 	b.FailNow()
 	h.sched.Run(100)
-	if _, ok := tableEntry(a.Table(), 2); ok {
+	if _, ok := tableEntry(a, 2); ok {
 		t.Fatal("stale dead sensor not purged")
 	}
-	if _, ok := tableEntry(a.Table(), 90); !ok {
+	if _, ok := tableEntry(a, 90); !ok {
 		t.Fatal("robot was purged from table despite being exempt")
 	}
 }
@@ -404,7 +404,7 @@ func TestFloodDedupPerOrigin(t *testing.T) {
 	h := newHarness()
 	cfg := testConfig()
 	cfg.Reliability.RobotExpiry = 20
-	s := NewSensor(1, geom.Pt(0, 0), &cfg, neverRelay{}, h.medium, &Hooks{})
+	s := NewSensor(1, geom.Pt(0, 0), &Env{Config: cfg, Policy: neverRelay{}, Hooks: &Hooks{}, Medium: h.medium})
 	s.Start(0.1, 1, false)
 	h.sched.Run(2)
 	fresh := func(origin radio.NodeID, seq uint64) bool {
@@ -463,7 +463,7 @@ func lastFloodSeq(s *Sensor, origin radio.NodeID) (uint64, bool) {
 func TestFloodLastSeq(t *testing.T) {
 	h := newHarness()
 	cfg := testConfig()
-	s := NewSensor(1, geom.Pt(0, 0), &cfg, neverRelay{}, h.medium, &Hooks{})
+	s := NewSensor(1, geom.Pt(0, 0), &Env{Config: cfg, Policy: neverRelay{}, Hooks: &Hooks{}, Medium: h.medium})
 	if _, ok := lastFloodSeq(s, 1); ok {
 		t.Fatal("a new sensor should know no flood origin")
 	}

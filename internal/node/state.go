@@ -50,7 +50,7 @@ func (s *Sensor) AppendState(b []byte) []byte {
 		b = checkpoint.AppendF64(b, float64(tr.heard))
 	}
 
-	b = s.table.AppendState(b)
+	b = s.table.AppendState(s.statics(), b)
 
 	// Flood duplicate suppression: every origin with a handled flood,
 	// in list order (origin-ascending), expired tracks included.

@@ -30,9 +30,9 @@ func TestSensorStateGolden(t *testing.T) {
 		RetryMax:    16,
 		RobotExpiry: 45,
 	}
-	s := NewSensor(1, geom.Pt(0, 0), &cfg, allowAll{}, h.medium, &Hooks{})
+	s := NewSensor(1, geom.Pt(0, 0), &Env{Config: cfg, Policy: allowAll{}, Hooks: &Hooks{}, Medium: h.medium})
 	s.Start(0.1, 1, false)
-	peer := NewSensor(2, geom.Pt(30, 0), &cfg, allowAll{}, h.medium, &Hooks{})
+	peer := NewSensor(2, geom.Pt(30, 0), &Env{Config: cfg, Policy: allowAll{}, Hooks: &Hooks{}, Medium: h.medium})
 	peer.Start(0.1, 1.5, false)
 	mgr := &sink{id: 90, pos: geom.Pt(40, 10), rng: 250}
 	h.medium.Attach(mgr)

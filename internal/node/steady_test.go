@@ -11,22 +11,22 @@ import (
 )
 
 // bootField deploys n sensors uniformly over a side×side square from a
-// seeded stream, sharing one Config and Hooks as a World does, and runs
+// seeded stream, sharing one Env as a World does, and runs
 // the field past its boot window: announcements, guardian selection and
 // two full beacon periods.
 func bootField(n int, side float64, seed int64) (*harness, *Config) {
 	h := newHarness()
-	cfg := testConfig()
-	hooks := &Hooks{}
+	env := &Env{Config: testConfig(), Policy: allowAll{}, Hooks: &Hooks{}, Medium: h.medium}
+	cfg := &env.Config
 	r := rng.New(seed)
 	for i := 0; i < n; i++ {
 		pos := geom.Pt(r.Uniform(0, side), r.Uniform(0, side))
-		s := NewSensor(radio.NodeID(i+1), pos, &cfg, allowAll{}, h.medium, hooks)
+		s := NewSensor(radio.NodeID(i+1), pos, env)
 		h.sensors = append(h.sensors, s)
 		s.Start(sim.Duration(r.Uniform(0.05, 1)), sim.Duration(r.Jitter(float64(cfg.BeaconPeriod))), false)
 	}
 	h.sched.Run(sim.Time(cfg.SettleDelay + 2*cfg.BeaconPeriod))
-	return h, &cfg
+	return h, cfg
 }
 
 // TestTableMatchesRadioStaticSet checks that node and radio agree on range:
@@ -38,11 +38,11 @@ func TestTableMatchesRadioStaticSet(t *testing.T) {
 	var inRange []radio.RangeEntry
 	for _, s := range h.sensors {
 		inRange = h.medium.AppendInRange(inRange[:0], s.Pos(), cfg.Range, s.ID())
-		if d := h.medium.StaticDegree(s.ID()); d != len(inRange) {
-			t.Fatalf("sensor %d: static degree %d, %d stations in range", s.ID(), d, len(inRange))
+		if ids, _, changed := h.medium.StaticSet(s.ID()); len(ids) != len(inRange) || changed {
+			t.Fatalf("sensor %d: static set of %d (changed %v), %d stations in range", s.ID(), len(ids), changed, len(inRange))
 		}
 		var got, want []radio.NodeID
-		it := s.Table().View().Iter()
+		it := s.Table().View(s.statics()).Iter()
 		for n, ok := it.Next(); ok; n, ok = it.Next() {
 			got = append(got, n.ID)
 		}

@@ -46,7 +46,7 @@ func TestRetransmissionRearmAllocatesNothing(t *testing.T) {
 	h := newHarness()
 	cfg := testConfig()
 	cfg.Reliability = Reliability{RetryBase: 1, RetryMax: 2}
-	s := NewSensor(1, geom.Pt(0, 0), &cfg, allowAll{}, h.medium, &Hooks{})
+	s := NewSensor(1, geom.Pt(0, 0), &Env{Config: cfg, Policy: allowAll{}, Hooks: &Hooks{}, Medium: h.medium})
 	s.Start(0.1, 1, false)
 	h.sched.Run(6)
 	// No robot is known, so each retry skips the transmission but keeps

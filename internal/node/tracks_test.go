@@ -30,10 +30,10 @@ func (s *Sensor) KnowsRobot(id radio.NodeID) (geom.Point, bool) {
 	return geom.Point{}, false
 }
 
-// tableEntry returns a neighbor table's entry for id, read through its
-// view.
-func tableEntry(tb *netstack.NeighborTable, id radio.NodeID) (netstack.Neighbor, bool) {
-	it := tb.View().Iter()
+// tableEntry returns the entry for id in a sensor's neighbor table, read
+// through its view.
+func tableEntry(s *Sensor, id radio.NodeID) (netstack.Neighbor, bool) {
+	it := s.table.View(s.statics()).Iter()
 	for n, ok := it.Next(); ok; n, ok = it.Next() {
 		if n.ID == id {
 			return n, true
@@ -103,7 +103,7 @@ func TestSparseTracksMatchMapModel(t *testing.T) {
 		cfg := testConfig()
 		cfg.StrictSeq = true
 		cfg.Reliability = Reliability{RobotExpiry: expiry}
-		s := NewSensor(1, geom.Pt(0, 0), &cfg, neverRelay{}, h.medium, &Hooks{})
+		s := NewSensor(1, geom.Pt(0, 0), &Env{Config: cfg, Policy: neverRelay{}, Hooks: &Hooks{}, Medium: h.medium})
 		m := &trackModel{tracks: map[radio.NodeID]*robotTrack{}}
 
 		// A pool of distinct IDs in [2, 2000], highest first; step i draws
@@ -221,7 +221,7 @@ func checkTracks(t *testing.T, seed int64, step int, s *Sensor, m *trackModel, p
 func TestOneHighRobotOneTrack(t *testing.T) {
 	h := newHarness()
 	cfg := testConfig()
-	s := NewSensor(1, geom.Pt(0, 0), &cfg, neverRelay{}, h.medium, &Hooks{})
+	s := NewSensor(1, geom.Pt(0, 0), &Env{Config: cfg, Policy: neverRelay{}, Hooks: &Hooks{}, Medium: h.medium})
 	s.noteRobot(wire.RobotUpdate{Robot: 1999, Loc: geom.Pt(40, 0), Seq: 1}, 0)
 	s.freshFlood(netstack.FloodMsg{Origin: 1999, Seq: 1})
 	if len(s.robots) != 1 || cap(s.robots) != 1 {

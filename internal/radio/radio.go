@@ -236,11 +236,14 @@ type Medium struct {
 	// broadcasts merge them into a static sender's neighbor set.
 	mobiles []NodeID
 	// statics, arena, arenaDead and cacheRange hold the per-sender static
-	// neighbor sets (see static.go).
+	// neighbor sets (see static.go); builtSets counts the sets built at
+	// least once and builtIDs the IDs of their first builds.
 	statics    []staticSet
 	arena      []int32
 	arenaDead  int
 	cacheRange float64
+	builtSets  int
+	builtIDs   int
 	// bufs are the broadcast delivery buffers, one per delivery depth:
 	// a Send re-entered from HandleFrame (a flood relay) fills the next
 	// one while its caller still iterates its own. depth is the number of

@@ -186,13 +186,13 @@ func TestStaticCacheMatchesGrid(t *testing.T) {
 	}
 }
 
-// TestStaticDegreeReentrant calls StaticDegree from inside deliveries —
-// how a sensor sizes its neighbor table on the first frame it hears —
+// TestStaticDegreeReentrant calls StaticSet from inside deliveries — how
+// a sensor's table reads its static set on the first frame it hears —
 // while broadcasts from senders with no set yet are still delivering. The
 // builds it triggers grow and reallocate the arena mid-delivery; every
 // broadcast must still reach exactly the grid query's receivers in the
-// grid query's order, and every degree must equal a brute-force count of
-// the static stations in range.
+// grid query's order, and every set must equal a brute-force list of the
+// static stations in range.
 func TestStaticDegreeReentrant(t *testing.T) {
 	const side, sensors, robots = 400.0, 200, 4
 	m, _, _ := newTestMedium(Config{CellSize: 63})
@@ -200,26 +200,27 @@ func TestStaticDegreeReentrant(t *testing.T) {
 	m.SetAuditor(log)
 	rng := gridRNG(0x5EED)
 	var all []*cacheStation
-	brute := func(s *cacheStation) int {
-		n := 0
+	brute := func(s *cacheStation) []int32 {
+		var ids []int32
 		for _, o := range all {
 			if o.id != s.id && !o.mobile && s.pos.Dist2(o.pos) <= s.rng*s.rng {
-				n++
+				ids = append(ids, int32(o.id))
 			}
 		}
-		return n
+		return ids
 	}
 	calls := 0
 	recv := func(s *cacheStation, _ Frame) {
+		ids, _, _ := m.StaticSet(s.id)
 		if s.mobile {
-			if got := m.StaticDegree(s.id); got != 0 {
-				t.Errorf("mobile station %d: StaticDegree = %d, want 0", s.id, got)
+			if len(ids) != 0 {
+				t.Errorf("mobile station %d: static set %v, want none", s.id, ids)
 			}
 			return
 		}
 		calls++
-		if got, want := m.StaticDegree(s.id), brute(s); got != want {
-			t.Errorf("station %d: StaticDegree = %d, want %d", s.id, got, want)
+		if want := brute(s); !slices.Equal(ids, want) {
+			t.Errorf("station %d: static set %v, want %v", s.id, ids, want)
 		}
 	}
 	for i := 0; i < sensors+robots; i++ {
@@ -230,8 +231,8 @@ func TestStaticDegreeReentrant(t *testing.T) {
 		all = append(all, s)
 		m.Attach(s)
 	}
-	if got := m.StaticDegree(NodeID(len(all))); got != 0 {
-		t.Fatalf("unattached station: StaticDegree = %d, want 0", got)
+	if ids, _, _ := m.StaticSet(NodeID(len(all))); ids != nil {
+		t.Fatalf("unattached station: static set %v, want nil", ids)
 	}
 	want := map[int][]NodeID{}
 	for seq, s := range all {
@@ -243,11 +244,93 @@ func TestStaticDegreeReentrant(t *testing.T) {
 		m.Send(Frame{Src: s.id, Dst: IDBroadcast, Category: "x", Payload: relayMsg{seq: seq}})
 	}
 	if calls == 0 {
-		t.Fatal("no delivery called StaticDegree")
+		t.Fatal("no delivery called StaticSet")
 	}
 	for seq := range all {
 		if !slices.Equal(log.got[seq], want[seq]) {
 			t.Fatalf("frame %d: receivers %v, want %v", seq, log.got[seq], want[seq])
 		}
+	}
+}
+
+// TestStaticSetReportsChanges churns a field — replacements attaching,
+// stations detaching, re-attaching and moving, senders broadcasting (which
+// rebuilds sets without reading them) and the arena compacting — while
+// reading random stations' sets, and checks StaticSet's contract against
+// a record of what each station was last told: a read reports a change
+// exactly when the list differs in storage from the one the previous read
+// returned, prev then equals that list element for element, and every
+// list equals a brute-force scan of the static stations in range.
+func TestStaticSetReportsChanges(t *testing.T) {
+	const side = 300.0
+	m, _, _ := newTestMedium(Config{CellSize: 63})
+	rng := gridRNG(0xACED)
+	var all []*cacheStation
+	attached := map[NodeID]bool{}
+	add := func() {
+		s := &cacheStation{id: NodeID(len(all)), pos: geom.Pt(rng.float()*side, rng.float()*side), rng: 63, recv: func(*cacheStation, Frame) {}}
+		all = append(all, s)
+		attached[s.id] = true
+		m.Attach(s)
+	}
+	for i := 0; i < 150; i++ {
+		add()
+	}
+	last := map[NodeID][]int32{} // what each station's previous read returned (copied)
+	brute := func(s *cacheStation) []int32 {
+		ids := []int32{}
+		for _, o := range all {
+			if o.id != s.id && attached[o.id] && s.pos.Dist2(o.pos) <= s.rng*s.rng {
+				ids = append(ids, int32(o.id))
+			}
+		}
+		return ids
+	}
+	changes, compactions, dead := 0, 0, 0
+	for op := 0; op < 20_000; op++ {
+		if m.arenaDead < dead { // only a compaction lowers the dead count
+			compactions++
+		}
+		dead = m.arenaDead
+		s := all[rng.next()%uint64(len(all))]
+		switch rng.next() % 8 {
+		case 0:
+			add()
+		case 1:
+			if attached[s.id] {
+				m.Detach(s.id)
+				attached[s.id] = false
+			} else {
+				s.pos = geom.Pt(rng.float()*side, rng.float()*side)
+				m.Attach(s)
+				attached[s.id] = true
+			}
+		case 2:
+			if attached[s.id] {
+				old := s.pos
+				s.pos = geom.Pt(rng.float()*side, rng.float()*side)
+				m.Moved(s.id, old)
+			}
+		case 3, 4:
+			m.Send(Frame{Src: s.id, Dst: IDBroadcast, Category: "x", Payload: relayMsg{}})
+		default:
+			ids, prev, changed := m.StaticSet(s.id)
+			before, seen := last[s.id]
+			if changed {
+				changes++
+				if !slices.Equal(prev, before) && (seen || len(prev) != 0) {
+					t.Fatalf("op %d: station %d: prev %v, previous read returned %v", op, s.id, prev, before)
+				}
+			} else if seen && !slices.Equal(ids, before) {
+				t.Fatalf("op %d: station %d: set went %v -> %v unreported", op, s.id, before, ids)
+			}
+			last[s.id] = slices.Clone(ids)
+			if attached[s.id] && !slices.Equal(ids, brute(s)) {
+				t.Fatalf("op %d: station %d: set %v, want %v", op, s.id, ids, brute(s))
+			}
+		}
+	}
+	if changes < 100 || compactions == 0 {
+		t.Fatalf("churn too tame: %d reported changes, %d compactions", changes, compactions)
 	}
 }

@@ -128,9 +128,3 @@ func (s *Source) Jitter(width float64) float64 {
 func (s *Source) Normal(mean, stddev float64) float64 {
 	return mean + stddev*s.r.NormFloat64()
 }
-
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
-
-// Shuffle randomizes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }

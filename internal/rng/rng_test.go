@@ -132,31 +132,6 @@ func TestIntn(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	s := New(17)
-	p := s.Perm(20)
-	seen := make([]bool, 20)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("Perm(20) invalid: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestShufflePreservesElements(t *testing.T) {
-	s := New(19)
-	xs := []int{1, 2, 3, 4, 5, 6}
-	sum := 0
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 21 {
-		t.Fatalf("shuffle changed multiset: %v", xs)
-	}
-}
-
 // Property: exponential draws scale linearly with the mean (same stream
 // position yields draw proportional to mean).
 func TestPropertyExponentialScales(t *testing.T) {

@@ -81,23 +81,33 @@ func TestDrawsCountsEveryKind(t *testing.T) {
 	if s.Draws() != 1 {
 		t.Fatalf("after Float64 draws = %d, want 1", s.Draws())
 	}
+	// Rejection-sampled draws take a variable number of steps, which must
+	// all be counted: Intn(2^30+1) rejects about half of its 31-bit draws.
 	before := s.Draws()
-	s.Perm(32) // variable number of steps; must all be counted
-	if s.Draws() <= before {
-		t.Fatalf("Perm consumed no counted draws")
+	for i := 0; i < 64; i++ {
+		s.Intn(rejecting)
+	}
+	if s.Draws() <= before+64 {
+		t.Fatalf("64 rejection-sampled Intn calls counted %d draws, want more than 64", s.Draws()-before)
 	}
 }
 
+// rejecting is an Intn bound just above a power of two: math/rand rejects
+// about half of the draws it makes for it.
+const rejecting = 1<<30 + 1
+
+// TestShuffleRoundTrip restores a stream captured after a run of
+// variable-step draws — rejection-sampled Intn calls, the draws a shuffle
+// makes — and requires the restored stream to continue identically.
 func TestShuffleRoundTrip(t *testing.T) {
 	s := Split(3, "shuffle")
-	s.Shuffle(100, func(i, j int) {})
-	st := s.State()
-	r := restore(st)
-	a := s.Perm(64)
-	b := r.Perm(64)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("post-shuffle Perm diverged at %d", i)
+	for i := 0; i < 100; i++ {
+		s.Intn(rejecting)
+	}
+	r := restore(s.State())
+	for i := 0; i < 64; i++ {
+		if a, b := s.Intn(rejecting), r.Intn(rejecting); a != b {
+			t.Fatalf("draw %d after the round trip diverged: %d vs %d", i, a, b)
 		}
 	}
 }

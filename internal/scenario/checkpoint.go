@@ -111,7 +111,7 @@ func (w *World) counterState(b []byte) []byte {
 	b = checkpoint.AppendI64(b, int64(w.nextID))
 	// The sensor Config's manager is rewritten by takeover elections; the
 	// rest of it is pure config.
-	b = checkpoint.AppendI64(b, int64(w.sensorCfg.Reliability.Manager))
+	b = checkpoint.AppendI64(b, int64(w.sensorEnv.Reliability.Manager))
 
 	ids := make([]radio.NodeID, 0, len(w.requeuedAt))
 	for id := range w.requeuedAt {

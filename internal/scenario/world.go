@@ -40,7 +40,6 @@ type World struct {
 	Recorder  *ftdc.Recorder       // non-nil when Config.Recorder or Config.Telemetry is enabled
 
 	nextID   radio.NodeID
-	policy   node.Policy
 	strategy algorithm.Strategy
 
 	// counters, incremented by hooks
@@ -51,12 +50,11 @@ type World struct {
 	requestsDelivered int
 	repairs           int
 
-	// sensorCfg and sensorHooks are shared by every sensor of the field.
-	// A sensor keeps the Config it was built with, so a change (a takeover
-	// electing a new manager) swaps in a fresh copy for later sensors and
-	// never writes through the pointer.
-	sensorCfg   *node.Config
-	sensorHooks *node.Hooks
+	// sensorEnv is shared by every sensor of the field. A sensor keeps the
+	// Env it was built with, so a change (a takeover electing a new
+	// manager) swaps in a fresh copy for later sensors and never writes
+	// through the pointer.
+	sensorEnv *node.Env
 
 	// Reliability/fault state (robustness extension).
 	strandedTasks  int
@@ -229,7 +227,6 @@ func New(cfg Config) (*World, error) {
 	}
 	w.strategy = strat
 	w.Manager = strat.Manager()
-	w.policy = strat.Policy()
 	mode := strat.UpdateMode()
 
 	var relNode node.Reliability // sensor-side knobs; zero when disabled
@@ -249,17 +246,21 @@ func New(cfg Config) (*World, error) {
 		w.requeuedAt = make(map[radio.NodeID]sim.Time)
 		w.siteIDs = make(map[geom.Point][]radio.NodeID)
 	}
-	w.sensorCfg = &node.Config{
-		Range:              cfg.SensorRange,
-		BeaconPeriod:       sim.Duration(cfg.BeaconPeriod),
-		MissedBeacons:      cfg.MissedBeacons,
-		SettleDelay:        settleDelay,
-		FloodTTL:           core.FloodTTL,
-		EfficientBroadcast: cfg.EfficientBroadcast,
-		Reliability:        relNode,
-		StrictSeq:          hostile,
+	w.sensorEnv = &node.Env{
+		Config: node.Config{
+			Range:              cfg.SensorRange,
+			BeaconPeriod:       sim.Duration(cfg.BeaconPeriod),
+			MissedBeacons:      cfg.MissedBeacons,
+			SettleDelay:        settleDelay,
+			FloodTTL:           core.FloodTTL,
+			EfficientBroadcast: cfg.EfficientBroadcast,
+			Reliability:        relNode,
+			StrictSeq:          hostile,
+		},
+		Policy: strat.Policy(),
+		Hooks:  w.newSensorHooks(),
+		Medium: w.Medium,
 	}
-	w.sensorHooks = w.newSensorHooks()
 
 	// Deploy the initial sensor population. The deploy stream is shared
 	// with robot placement (RobotStart draws from it after the sensors),
@@ -317,10 +318,10 @@ func New(cfg Config) (*World, error) {
 		OnTakeover: func(r *robot.Robot) {
 			w.takeovers++
 			// Future replacement sensors track the elected manager; the
-			// sensors already built keep the Config they hold.
-			c := *w.sensorCfg
-			c.Reliability.Manager = r.ID()
-			w.sensorCfg = &c
+			// sensors already built keep the Env they hold.
+			e := *w.sensorEnv
+			e.Reliability.Manager = r.ID()
+			w.sensorEnv = &e
 			w.mark(trace.KindTakeover, r.ID(), r.ID(), r.Pos())
 			if w.managerCrashAt >= 0 {
 				reg.Observe(metrics.SeriesFaultRecovery, float64(sched.Now().Sub(w.managerCrashAt)))
@@ -619,7 +620,7 @@ func (w *World) newSensorHooks() *node.Hooks {
 func (w *World) spawnSensor(pos geom.Point, jitter *rng.Source, replacement bool, target radio.NodeID, targetLoc geom.Point) *node.Sensor {
 	id := w.nextID
 	w.nextID++
-	s := node.NewSensor(id, pos, w.sensorCfg, w.policy, w.Medium, w.sensorHooks)
+	s := node.NewSensor(id, pos, w.sensorEnv)
 	if replacement {
 		s.SetTarget(target, targetLoc)
 	}
@@ -768,22 +769,21 @@ func (w *World) results() Results {
 // repair left a live spare next to a later-dying original still count as
 // covered — some node answers for that spot.
 func (w *World) unrepairedSites() int {
-	alive := make(map[geom.Point]bool, len(w.Sensors))
 	dead := make(map[geom.Point]bool)
 	for _, s := range w.Sensors {
-		if s.Alive() {
-			alive[s.Pos()] = true
-		} else {
+		if !s.Alive() {
 			dead[s.Pos()] = true
 		}
 	}
-	n := 0
-	for pos := range dead {
-		if !alive[pos] {
-			n++
+	if len(dead) == 0 {
+		return 0
+	}
+	for _, s := range w.Sensors {
+		if s.Alive() {
+			delete(dead, s.Pos())
 		}
 	}
-	return n
+	return len(dead)
 }
 
 // HistRepairDelay is the registry name of the repair-delay histogram.
